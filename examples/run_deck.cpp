@@ -5,6 +5,13 @@
 //   $ ./run_deck ../decks/first_star.enzo
 //   $ ./run_deck ../decks/sod.enzo
 //
+//   $ ./run_deck --help
+//
+// Exit codes: 0 success; 1 a deck, restart or output file could not be
+// used (the message says which); 2 a command-line mistake (unknown option,
+// bad --threads/--executor value) or AMR invariant violations under
+// --audit.
+//
 // Telemetry flags (may appear anywhere on the command line):
 //   --trace-out=FILE   write a Chrome trace_event JSON timeline of the run
 //                      (load in chrome://tracing or Perfetto)
@@ -29,10 +36,13 @@
 //   CheckpointPath every N root steps (rolling retention CheckpointKeep,
 //   default 3).  Without it, one snapshot is written at end of run.
 
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +58,35 @@
 
 using namespace enzo;
 
-int main(int argc, char** argv) {
+namespace {
+
+void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--trace-out=FILE] [--diag-out=FILE] [--audit] "
+               "[--restart[=PATH]] "
+               "[--threads N] [--executor=serial|threadpool] "
+               "<parameter-deck> [more decks...]\n",
+               argv0);
+}
+
+/// A thread count is a plain non-negative decimal integer (0 = all cores).
+bool parse_threads(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < 0 || v > INT_MAX)
+    return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+/// Command-line mistakes exit 2 with a one-line message.
+int usage_error(const std::string& msg) {
+  std::fprintf(stderr, "run_deck: %s (see --help)\n", msg.c_str());
+  return 2;
+}
+
+int run(int argc, char** argv) {
   std::string trace_out, diag_out;
   bool audit = false;
   bool restart = false;
@@ -57,6 +95,11 @@ int main(int argc, char** argv) {
   std::string executor_override;
   std::vector<const char*> decks;
   for (int a = 1; a < argc; ++a) {
+    if (std::strcmp(argv[a], "--help") == 0 || std::strcmp(argv[a], "-h") == 0) {
+      print_usage(stdout, argv[0]);
+      return 0;
+    }
+    const char* threads_arg = nullptr;
     if (std::strncmp(argv[a], "--trace-out=", 12) == 0)
       trace_out = argv[a] + 12;
     else if (std::strncmp(argv[a], "--diag-out=", 11) == 0)
@@ -70,21 +113,31 @@ int main(int argc, char** argv) {
       restart_path = argv[a] + 10;
     }
     else if (std::strncmp(argv[a], "--threads=", 10) == 0)
-      threads_override = std::atoi(argv[a] + 10);
-    else if (std::strcmp(argv[a], "--threads") == 0 && a + 1 < argc)
-      threads_override = std::atoi(argv[++a]);
+      threads_arg = argv[a] + 10;
+    else if (std::strcmp(argv[a], "--threads") == 0) {
+      if (a + 1 == argc) return usage_error("--threads needs a value");
+      threads_arg = argv[++a];
+    }
     else if (std::strncmp(argv[a], "--executor=", 11) == 0)
       executor_override = argv[a] + 11;
+    else if (argv[a][0] == '-')
+      return usage_error(std::string("unknown option '") + argv[a] + "'");
     else
       decks.push_back(argv[a]);
+    if (threads_arg != nullptr && !parse_threads(threads_arg, &threads_override))
+      return usage_error(std::string("--threads expects a non-negative "
+                                     "integer, got '") +
+                         threads_arg + "'");
+  }
+  if (!executor_override.empty()) {
+    try {
+      exec::backend_from_string(executor_override);
+    } catch (const Error& e) {
+      return usage_error(e.what());
+    }
   }
   if (decks.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s [--trace-out=FILE] [--diag-out=FILE] [--audit] "
-                 "[--restart[=PATH]] "
-                 "[--threads N] [--executor=serial|threadpool] "
-                 "<parameter-deck> [more decks...]\n",
-                 argv[0]);
+    print_usage(stderr, argv[0]);
     return 1;
   }
 
@@ -230,4 +283,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad decks and restart files surface as enzo::Error: report, exit 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "run_deck: error: %s\n", e.what());
+    return 1;
+  }
 }

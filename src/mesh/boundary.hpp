@@ -7,6 +7,10 @@
 //      the ghost region — "this ensures that all boundary values are set
 //      using the highest resolution solution available."
 //
+// Step 1 skips the ghost cells step 2 overwrites (the union of the grid's
+// sibling overlap boxes), which leaves every byte as the literal
+// "interpolate all, then overwrite" order would (DESIGN.md §10).
+//
 // The root level has no parent: its external boundary is periodic (sibling
 // copies with domain-shift images, including self-copies for a single root
 // grid) or outflow (edge replication) per HierarchyParams::periodic.

@@ -1,5 +1,6 @@
 #include "mesh/grid.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "mesh/topology.hpp"
@@ -242,28 +243,30 @@ std::int64_t Grid::copy_region_from(const Grid& src, const Index3& shift,
   ENZO_REQUIRE(src.level() == level(), "sibling copy across levels");
   const IndexBox overlap = target_global.intersect(src.box().shifted(shift));
   if (overlap.empty()) return 0;
-  std::int64_t copied = 0;
+  // Storage index of the overlap's low corner in each grid; the copy then
+  // moves one contiguous x-row at a time.
+  int d0[3], s0[3];
+  for (int d = 0; d < 3; ++d) {
+    d0[d] = static_cast<int>(overlap.lo[d] - spec_.box.lo[d]) + ng_[d];
+    s0[d] = static_cast<int>(overlap.lo[d] - shift[d] - src.box().lo[d]) +
+            src.ng(d);
+  }
+  const int len = static_cast<int>(overlap.extent(0));
+  const int ny = static_cast<int>(overlap.extent(1));
+  const int nz = static_cast<int>(overlap.extent(2));
   for (Field f : field_list_) {
     if (!src.has_field(f)) continue;
     const FieldView dst_a = field(f);
     const ConstFieldView src_a = src.field(f);
-    for (std::int64_t gk = overlap.lo[2]; gk < overlap.hi[2]; ++gk)
-      for (std::int64_t gj = overlap.lo[1]; gj < overlap.hi[1]; ++gj)
-        for (std::int64_t gi = overlap.lo[0]; gi < overlap.hi[0]; ++gi) {
-          const int di = static_cast<int>(gi - spec_.box.lo[0]) + ng_[0];
-          const int dj = static_cast<int>(gj - spec_.box.lo[1]) + ng_[1];
-          const int dk = static_cast<int>(gk - spec_.box.lo[2]) + ng_[2];
-          const int si =
-              static_cast<int>(gi - shift[0] - src.box().lo[0]) + src.ng(0);
-          const int sj =
-              static_cast<int>(gj - shift[1] - src.box().lo[1]) + src.ng(1);
-          const int sk =
-              static_cast<int>(gk - shift[2] - src.box().lo[2]) + src.ng(2);
-          dst_a(di, dj, dk) = src_a(si, sj, sk);
-        }
+    for (int k = 0; k < nz; ++k)
+      for (int j = 0; j < ny; ++j) {
+        const double* from =
+            src_a.data() + src_a.index(s0[0], s0[1] + j, s0[2] + k);
+        std::copy(from, from + len,
+                  dst_a.data() + dst_a.index(d0[0], d0[1] + j, d0[2] + k));
+      }
   }
-  copied += overlap.volume();
-  return copied;
+  return overlap.volume();
 }
 
 bool Grid::covers_periodic_domain() const {

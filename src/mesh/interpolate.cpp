@@ -2,7 +2,11 @@
 
 #include "util/annotations.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/flops.hpp"
@@ -16,119 +20,193 @@ ENZO_HOT double minmod(double a, double b) {
   return std::abs(a) < std::abs(b) ? a : b;
 }
 
-struct AxisMap {
-  int rd = 1;        ///< per-axis refinement ratio child/parent
-  std::int64_t wrap = 1;  ///< child-level domain cells (for periodic wrap)
+/// Separable child→parent map: for each child storage index along each
+/// axis, the parent storage index it falls in and its sub-cell offset in
+/// (-0.5, 0.5).  The cell map of a 3-d prolongation is the outer product of
+/// the three axis maps, so these O(n) tables replace per-cell index math.
+struct AxisMaps {
+  std::array<std::vector<int>, 3> ps;
+  std::array<std::vector<double>, 3> frac;
 };
 
-/// Interpolate one field array at parent storage cell (psi,psj,psk) with
-/// sub-cell offsets f[3] (each in (-0.5, 0.5)) using minmod-limited slopes.
-ENZO_HOT double sample(ConstFieldView p, int psi, int psj, int psk,
-                       const double f[3]) {
-  const double v = p(psi, psj, psk);
-  double out = v;
-  const int idx[3] = {psi, psj, psk};
-  const int n[3] = {p.nx(), p.ny(), p.nz()};
+/// This lane's axis maps, filled for child storage indices [lo, hi) per
+/// axis.  Sized here, outside the hot kernels, so they never allocate;
+/// capacity is kept across calls.  Every child cell of the region must lie
+/// inside the parent's total (ghost-inclusive) region; the map is monotone
+/// per axis, so checking each axis's index range is the same test as
+/// checking every cell.
+const AxisMaps& axis_maps(const Grid& child, const Grid& parent,
+                          const int lo[3], const int hi[3]) {
+  thread_local AxisMaps m;
   for (int d = 0; d < 3; ++d) {
-    if (f[d] == 0.0) continue;
-    double slope = 0.0;
-    const bool has_lo = idx[d] - 1 >= 0;
-    const bool has_hi = idx[d] + 1 < n[d];
-    auto at = [&](int delta) {
-      switch (d) {
-        case 0: return p(psi + delta, psj, psk);
-        case 1: return p(psi, psj + delta, psk);
-        default: return p(psi, psj, psk + delta);
-      }
-    };
-    if (has_lo && has_hi)
-      slope = minmod(at(1) - v, v - at(-1));
-    else if (has_hi)
-      slope = 0.0;  // one-sided: stay flat for monotonicity
-    out += f[d] * slope;
+    ENZO_REQUIRE(child.spec().level_dims[d] % parent.spec().level_dims[d] == 0,
+                 "non-integer level refinement");
+    const std::int64_t rd =
+        child.spec().level_dims[d] / parent.spec().level_dims[d];
+    m.ps[d].resize(static_cast<std::size_t>(child.nt(d)));
+    m.frac[d].resize(static_cast<std::size_t>(child.nt(d)));
+    for (int s = lo[d]; s < hi[d]; ++s) {
+      // Global child-level index, deliberately *unwrapped*: a ghost index
+      // beyond the domain maps (by floor division) into the parent's own
+      // ghost zones, which the parent-level boundary pass has already
+      // filled with the periodic or outflow data.  Wrapping here instead
+      // would point at far-side cells the single parent does not cover.
+      const std::int64_t g = child.box().lo[d] + (s - child.ng(d));
+      const std::int64_t pcell =
+          g >= 0 ? g / rd : -((-g + rd - 1) / rd);  // floor division
+      const std::int64_t psd = pcell - parent.box().lo[d] + parent.ng(d);
+      ENZO_REQUIRE(psd >= 0 && psd < parent.nt(d),
+                   "child cell not covered by parent " + parent.box().str() +
+                       " child " + child.box().str());
+      m.ps[d][s] = static_cast<int>(psd);
+      m.frac[d][s] = rd == 1 ? 0.0
+                             : (static_cast<double>(g - pcell * rd) + 0.5) /
+                                       static_cast<double>(rd) -
+                                   0.5;
+    }
+  }
+  return m;
+}
+
+/// The y/z part of one child row's parent stencil: sub-cell offsets, and
+/// the parent strides of the two-sided neighbours (0 where the parent cell
+/// sits on its array edge, which keeps that axis's slope flat).
+struct RowStencil {
+  double fj, fk;
+  std::ptrdiff_t sj, sk;
+};
+
+/// Minmod-limited linear interpolation at parent offset c.  The operation
+/// order is part of the byte contract: axes 0, 1, 2 in turn, each adding
+/// `f * slope` (even when the slope is 0) unless its offset is exactly 0.
+ENZO_HOT inline double sample(const double* p, std::ptrdiff_t c, double fi,
+                              bool two_sided_x, const RowStencil& r) {
+  const double v = p[c];
+  double out = v;
+  if (fi != 0.0) {
+    const double slope =
+        two_sided_x ? minmod(p[c + 1] - v, v - p[c - 1]) : 0.0;
+    out += fi * slope;
+  }
+  if (r.fj != 0.0) {
+    const double slope =
+        r.sj != 0 ? minmod(p[c + r.sj] - v, v - p[c - r.sj]) : 0.0;
+    out += r.fj * slope;
+  }
+  if (r.fk != 0.0) {
+    const double slope =
+        r.sk != 0 ? minmod(p[c + r.sk] - v, v - p[c - r.sk]) : 0.0;
+    out += r.fk * slope;
   }
   return out;
 }
 
-/// Interpolate `child`'s cells within the half-open *local storage* region
-/// [slo, shi) (storage indices into the child's arrays) from the parent.
-/// time_weight in [0,1] blends parent old (0) → new (1) states.
-ENZO_HOT void interpolate_region(Grid& child, const Grid& parent,
-                                 const int slo[3], const int shi[3],
-                                 double time_weight) {
-  AxisMap ax[3];
-  for (int d = 0; d < 3; ++d) {
-    ENZO_REQUIRE(child.spec().level_dims[d] % parent.spec().level_dims[d] == 0,
-                 "non-integer level refinement");
-    ax[d].rd = static_cast<int>(child.spec().level_dims[d] /
-                                parent.spec().level_dims[d]);
-    ax[d].wrap = child.spec().level_dims[d];
-  }
-  const bool use_old = time_weight < 1.0 && parent.has_old_fields();
+/// One field's raw rows: destination, parent new state, parent old state
+/// (nullptr when not time-blending).
+struct FieldRows {
+  double* dst;
+  const double* pnew;
+  const double* pold;
+  bool positive;
+};
 
+/// Prolong child cells [i0, i1) of one row.  `base` is the parent offset of
+/// the row's (0, pj, pk) cell, `dst` the child row start.
+ENZO_HOT void prolong_run(const FieldRows& f, double* dst, std::ptrdiff_t base,
+                          const RowStencil& r, const int* px,
+                          const double* fx, int pnx, int i0, int i1,
+                          double w) {
+  const double wo = 1.0 - w;
+  for (int i = i0; i < i1; ++i) {
+    const std::ptrdiff_t c = base + px[i];
+    const bool two_sided_x = px[i] >= 1 && px[i] + 1 < pnx;
+    double v = sample(f.pnew, c, fx[i], two_sided_x, r);
+    if (f.pold != nullptr) {
+      const double vo = sample(f.pold, c, fx[i], two_sided_x, r);
+      v = w * v + wo * vo;
+    }
+    if (f.positive && v <= 0.0) v = std::max(f.pnew[c], 1e-300);
+    dst[i] = v;
+  }
+}
+
+/// Interpolate child storage cells in [lo, hi) from the parent, row by row.
+/// With `ghosts_only`, cells of the child's active box are left alone; with
+/// `covered`, so are cells whose mask byte is nonzero.  time_weight in [0,1]
+/// blends parent old (0) → new (1) states.  Returns the cells written.
+ENZO_HOT std::int64_t interpolate_region(Grid& child, const Grid& parent,
+                                         const int lo[3], const int hi[3],
+                                         bool ghosts_only,
+                                         const std::uint8_t* covered,
+                                         double time_weight,
+                                         const AxisMaps& m) {
+  const bool use_old = time_weight < 1.0 && parent.has_old_fields();
+  std::array<FieldRows, kNumFields> rows{};
+  int nf = 0;
   for (Field f : child.field_list()) {
     if (!parent.has_field(f)) continue;
-    const FieldView dst = child.field(f);
-    const ConstFieldView pnew = parent.field(f);
-    const ConstFieldView pold =
-        use_old ? parent.old_field(f) : ConstFieldView{};
-    const bool positive = is_density_like(f);
-
-    for (int sk = slo[2]; sk < shi[2]; ++sk)
-      for (int sj = slo[1]; sj < shi[1]; ++sj)
-        for (int si = slo[0]; si < shi[0]; ++si) {
-          const int s[3] = {si, sj, sk};
-          int ps[3];
-          double frac[3];
-          bool ok = true;
-          for (int d = 0; d < 3; ++d) {
-            // Global child-level index, deliberately *unwrapped*: a ghost
-            // index beyond the domain maps (by floor division) into the
-            // parent's own ghost zones, which the parent-level boundary
-            // pass has already filled with the periodic or outflow data.
-            // Wrapping here instead would point at far-side cells the
-            // single parent does not cover.
-            const std::int64_t g = child.box().lo[d] + (s[d] - child.ng(d));
-            const std::int64_t rd = ax[d].rd;
-            const std::int64_t pcell =
-                g >= 0 ? g / rd : -((-g + rd - 1) / rd);  // floor division
-            const std::int64_t psd =
-                pcell - parent.box().lo[d] + parent.ng(d);
-            if (psd < 0 || psd >= parent.nt(d)) {
-              ok = false;
-              break;
-            }
-            ps[d] = static_cast<int>(psd);
-            frac[d] = ax[d].rd == 1
-                          ? 0.0
-                          : (static_cast<double>(g - pcell * ax[d].rd) + 0.5) /
-                                    ax[d].rd -
-                                0.5;
-          }
-          ENZO_REQUIRE(ok, "child cell not covered by parent " +
-                               parent.box().str() + " child " +
-                               child.box().str());
-          double v = sample(pnew, ps[0], ps[1], ps[2], frac);
-          if (use_old) {
-            const double vo = sample(pold, ps[0], ps[1], ps[2], frac);
-            v = time_weight * v + (1.0 - time_weight) * vo;
-          }
-          if (positive && v <= 0.0)
-            v = std::max(pnew(ps[0], ps[1], ps[2]), 1e-300);
-          dst(si, sj, sk) = v;
-        }
+    rows[nf++] = {child.field(f).data(), parent.field(f).data(),
+                  use_old ? parent.old_field(f).data() : nullptr,
+                  is_density_like(f)};
   }
-  const std::int64_t cells = std::int64_t(shi[0] - slo[0]) *
-                             (shi[1] - slo[1]) * (shi[2] - slo[2]);
-  util::FlopCounter::global().add(
-      "interpolation",
-      util::flop_cost::kInterpolationPerCell * cells *
-          child.field_list().size());
+  const int cnx = child.nt(0), cny = child.nt(1);
+  const int pnx = parent.nt(0), pny = parent.nt(1), pnz = parent.nt(2);
+  const std::ptrdiff_t pstride_k = std::ptrdiff_t(pnx) * pny;
+  const int* px = m.ps[0].data();
+  const double* fx = m.frac[0].data();
+  const int alo[3] = {child.ng(0), child.ng(1), child.ng(2)};
+  const int ahi[3] = {alo[0] + child.nx(0), alo[1] + child.nx(1),
+                      alo[2] + child.nx(2)};
+
+  std::int64_t cells = 0;
+  for (int sk = lo[2]; sk < hi[2]; ++sk) {
+    const int pk = m.ps[2][sk];
+    for (int sj = lo[1]; sj < hi[1]; ++sj) {
+      const int pj = m.ps[1][sj];
+      const RowStencil r{
+          m.frac[1][sj], m.frac[2][sk],
+          pj >= 1 && pj + 1 < pny ? std::ptrdiff_t(pnx) : 0,
+          pk >= 1 && pk + 1 < pnz ? pstride_k : 0};
+      const std::ptrdiff_t base = std::ptrdiff_t(pnx) * pj + pstride_k * pk;
+      const std::ptrdiff_t crow =
+          std::ptrdiff_t(cnx) * (sj + std::ptrdiff_t(cny) * sk);
+      const std::uint8_t* mrow = covered != nullptr ? covered + crow : nullptr;
+      // A row through the active box has ghost cells only at its two ends.
+      const bool split = ghosts_only && sj >= alo[1] && sj < ahi[1] &&
+                         sk >= alo[2] && sk < ahi[2];
+      const int seg[2][2] = {{lo[0], split ? alo[0] : hi[0]},
+                             {split ? ahi[0] : hi[0], hi[0]}};
+      for (const auto& sg : seg) {
+        int i = sg[0];
+        while (i < sg[1]) {
+          if (mrow != nullptr && mrow[i] != 0) {
+            ++i;
+            continue;
+          }
+          int end = i + 1;
+          while (end < sg[1] && (mrow == nullptr || mrow[end] == 0)) ++end;
+          for (int n = 0; n < nf; ++n)
+            prolong_run(rows[n], rows[n].dst + crow, base, r, px, fx, pnx, i,
+                        end, time_weight);
+          cells += end - i;
+          i = end;
+        }
+      }
+    }
+  }
+  if (cells > 0)
+    util::FlopCounter::global().add(
+        "interpolation",
+        util::flop_cost::kInterpolationPerCell *
+            static_cast<std::uint64_t>(cells) * child.field_list().size());
+  return cells;
 }
 
 }  // namespace
 
-void fill_ghosts_from_parent(Grid& child, const Grid& parent) {
+std::int64_t fill_ghosts_from_parent(Grid& child, const Grid& parent,
+                                     const std::uint8_t* covered) {
+  if (child.ng(0) == 0 && child.ng(1) == 0 && child.ng(2) == 0) return 0;
   // Time weight from the parent's [old_time, time] bracket.
   double w = 1.0;
   if (parent.has_old_fields()) {
@@ -139,36 +217,20 @@ void fill_ghosts_from_parent(Grid& child, const Grid& parent) {
       w = std::min(1.0, std::max(0.0, w));
     }
   }
-  // Six ghost slabs (faces including edges/corners progressively).
-  for (int d = 0; d < 3; ++d) {
-    if (child.ng(d) == 0) continue;
-    for (int side = 0; side < 2; ++side) {
-      int slo[3], shi[3];
-      for (int e = 0; e < 3; ++e) {
-        // Along already-processed axes include ghosts; along later axes
-        // restrict to active to avoid double work (corners are covered once).
-        if (e < d) {
-          slo[e] = 0;
-          shi[e] = child.nt(e);
-        } else if (e > d) {
-          slo[e] = child.ng(e);
-          shi[e] = child.ng(e) + child.nx(e);
-        }
-      }
-      slo[d] = side == 0 ? 0 : child.ng(d) + child.nx(d);
-      shi[d] = side == 0 ? child.ng(d) : child.nt(d);
-      interpolate_region(child, parent, slo, shi, w);
-    }
-  }
+  const int lo[3] = {0, 0, 0};
+  const int hi[3] = {child.nt(0), child.nt(1), child.nt(2)};
+  return interpolate_region(child, parent, lo, hi, /*ghosts_only=*/true,
+                            covered, w, axis_maps(child, parent, lo, hi));
 }
 
 void fill_active_from_parent(Grid& child, const Grid& parent) {
-  int slo[3], shi[3];
+  int lo[3], hi[3];
   for (int d = 0; d < 3; ++d) {
-    slo[d] = child.ng(d);
-    shi[d] = child.ng(d) + child.nx(d);
+    lo[d] = child.ng(d);
+    hi[d] = child.ng(d) + child.nx(d);
   }
-  interpolate_region(child, parent, slo, shi, /*time_weight=*/1.0);
+  interpolate_region(child, parent, lo, hi, /*ghosts_only=*/false, nullptr,
+                     /*time_weight=*/1.0, axis_maps(child, parent, lo, hi));
 }
 
 }  // namespace enzo::mesh

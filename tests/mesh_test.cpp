@@ -9,7 +9,13 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/parameter_file.hpp"
+#include "core/simulation.hpp"
+#include "exec/exec_config.hpp"
 #include "mesh/berger_rigoutsos.hpp"
 #include "mesh/boundary.hpp"
 #include "mesh/box.hpp"
@@ -19,7 +25,9 @@
 #include "mesh/interpolate.hpp"
 #include "mesh/project.hpp"
 #include "mesh/topology.hpp"
+#include "perf/metrics.hpp"
 #include "util/error.hpp"
+#include "util/flops.hpp"
 #include "util/rng.hpp"
 
 using namespace enzo::mesh;
@@ -1022,4 +1030,392 @@ TEST(Topology, BoundaryFillMatchesAllPairsBitwise) {
   for (std::size_t n = 0; n < reference.size(); ++n) {
     ASSERT_EQ(with_cache[n], reference[n]) << "field byte " << n << " differs";
   }
+}
+
+// ---- Boundary fill oracle ----------------------------------------------------
+//
+// set_boundary_values interpolates only the ghost cells that no sibling copy
+// overwrites, with row-wise table-driven kernels.  The oracle below is the
+// literal §3.2.1 procedure it must reproduce byte for byte: interpolate
+// *every* ghost cell from the parent with a scalar per-cell stencil, then
+// copy every sibling overlap (periodic images included) over it, cell by
+// cell.
+
+namespace {
+
+double oracle_minmod(double a, double b) {
+  if (a * b <= 0.0) return 0.0;
+  return std::abs(a) < std::abs(b) ? a : b;
+}
+
+double oracle_sample(ConstFieldView p, int psi, int psj, int psk,
+                     const double f[3]) {
+  const double v = p(psi, psj, psk);
+  double out = v;
+  const int idx[3] = {psi, psj, psk};
+  const int n[3] = {p.nx(), p.ny(), p.nz()};
+  for (int d = 0; d < 3; ++d) {
+    if (f[d] == 0.0) continue;
+    double slope = 0.0;
+    auto at = [&](int delta) {
+      switch (d) {
+        case 0: return p(psi + delta, psj, psk);
+        case 1: return p(psi, psj + delta, psk);
+        default: return p(psi, psj, psk + delta);
+      }
+    };
+    if (idx[d] - 1 >= 0 && idx[d] + 1 < n[d])
+      slope = oracle_minmod(at(1) - v, v - at(-1));
+    out += f[d] * slope;
+  }
+  return out;
+}
+
+void oracle_interpolate_region(Grid& child, const Grid& parent,
+                               const int slo[3], const int shi[3], double w) {
+  const bool use_old = w < 1.0 && parent.has_old_fields();
+  for (Field f : child.field_list()) {
+    if (!parent.has_field(f)) continue;
+    const FieldView dst = child.field(f);
+    const ConstFieldView pnew = parent.field(f);
+    const ConstFieldView pold = use_old ? parent.old_field(f) : ConstFieldView{};
+    for (int sk = slo[2]; sk < shi[2]; ++sk)
+      for (int sj = slo[1]; sj < shi[1]; ++sj)
+        for (int si = slo[0]; si < shi[0]; ++si) {
+          const int s[3] = {si, sj, sk};
+          int ps[3];
+          double frac[3];
+          for (int d = 0; d < 3; ++d) {
+            const std::int64_t rd =
+                child.spec().level_dims[d] / parent.spec().level_dims[d];
+            const std::int64_t g = child.box().lo[d] + (s[d] - child.ng(d));
+            const std::int64_t pcell =
+                g >= 0 ? g / rd : -((-g + rd - 1) / rd);
+            const std::int64_t psd =
+                pcell - parent.box().lo[d] + parent.ng(d);
+            ASSERT_TRUE(psd >= 0 && psd < parent.nt(d));
+            ps[d] = static_cast<int>(psd);
+            frac[d] = rd == 1 ? 0.0
+                              : (static_cast<double>(g - pcell * rd) + 0.5) /
+                                        static_cast<double>(rd) -
+                                    0.5;
+          }
+          double v = oracle_sample(pnew, ps[0], ps[1], ps[2], frac);
+          if (use_old) {
+            const double vo = oracle_sample(pold, ps[0], ps[1], ps[2], frac);
+            v = w * v + (1.0 - w) * vo;
+          }
+          if (is_density_like(f) && v <= 0.0)
+            v = std::max(pnew(ps[0], ps[1], ps[2]), 1e-300);
+          dst(si, sj, sk) = v;
+        }
+  }
+}
+
+void oracle_fill_ghosts(Grid& child, const Grid& parent) {
+  double w = 1.0;
+  if (parent.has_old_fields()) {
+    const double span = ext::pos_to_double(parent.time() - parent.old_time());
+    if (span > 0.0) {
+      w = ext::pos_to_double(child.time() - parent.old_time()) / span;
+      w = std::min(1.0, std::max(0.0, w));
+    }
+  }
+  for (int d = 0; d < 3; ++d) {
+    if (child.ng(d) == 0) continue;
+    for (int side = 0; side < 2; ++side) {
+      int slo[3], shi[3];
+      for (int e = 0; e < 3; ++e) {
+        slo[e] = e < d ? 0 : child.ng(e);
+        shi[e] = e < d ? child.nt(e) : child.ng(e) + child.nx(e);
+      }
+      slo[d] = side == 0 ? 0 : child.ng(d) + child.nx(d);
+      shi[d] = side == 0 ? child.ng(d) : child.nt(d);
+      oracle_interpolate_region(child, parent, slo, shi, w);
+    }
+  }
+}
+
+void oracle_copy(Grid& dst, const Grid& src, const Index3& shift) {
+  IndexBox total = dst.box();
+  for (int d = 0; d < 3; ++d) {
+    total.lo[d] -= dst.ng(d);
+    total.hi[d] += dst.ng(d);
+  }
+  const IndexBox ov = total.intersect(src.box().shifted(shift));
+  for (Field f : dst.field_list()) {
+    const FieldView a = dst.field(f);
+    const ConstFieldView b = src.field(f);
+    for (std::int64_t k = ov.lo[2]; k < ov.hi[2]; ++k)
+      for (std::int64_t j = ov.lo[1]; j < ov.hi[1]; ++j)
+        for (std::int64_t i = ov.lo[0]; i < ov.hi[0]; ++i)
+          a(static_cast<int>(i - dst.box().lo[0]) + dst.ng(0),
+            static_cast<int>(j - dst.box().lo[1]) + dst.ng(1),
+            static_cast<int>(k - dst.box().lo[2]) + dst.ng(2)) =
+              b(static_cast<int>(i - shift[0] - src.box().lo[0]) + src.ng(0),
+                static_cast<int>(j - shift[1] - src.box().lo[1]) + src.ng(1),
+                static_cast<int>(k - shift[2] - src.box().lo[2]) + src.ng(2));
+  }
+}
+
+void oracle_set_boundary_values(Hierarchy& h, int level) {
+  const auto grids = h.grids(level);
+  const auto shifts =
+      periodic_image_shifts(h.level_dims(level), h.params().periodic);
+  for (Grid* g : grids) {
+    if (level > 0)
+      oracle_fill_ghosts(*g, *g->parent());
+    else if (!h.params().periodic)
+      fill_outflow_ghosts(*g);
+    for (const Grid* s : grids)
+      for (std::int64_t kz : shifts[2])
+        for (std::int64_t ky : shifts[1])
+          for (std::int64_t kx : shifts[0]) {
+            if (s == g && kx == 0 && ky == 0 && kz == 0) continue;
+            oracle_copy(*g, *s, {kx, ky, kz});
+          }
+  }
+}
+
+/// A valid two-level hierarchy: root tiles plus up to `n` disjoint level-1
+/// boxes, each nested in one root tile (so its ghost-grown box lies inside
+/// the tile's total region).  The first box touches the domain's low
+/// corner and the second its high corner, so edge ghosts and periodic
+/// images both occur.  Every storage cell (ghosts included) starts random,
+/// the root carries an old state at t = 0 and a new one at t = 1, and the
+/// children sit at t = 0.3, so ghost fills blend in time.
+Hierarchy make_nested_hierarchy(std::uint64_t seed, Index3 root_dims,
+                                bool periodic, int tiles, int n) {
+  enzo::util::Rng rng(seed);
+  HierarchyParams p;
+  p.root_dims = root_dims;
+  p.periodic = periodic;
+  p.max_level = 1;
+  Hierarchy h(p);
+  h.build_root(tiles);
+  const auto roots = h.grids(0);
+  const Index3 dims1 = h.level_dims(1);
+  auto tile_of = [&](const Index3& root_cell) {
+    for (Grid* r : roots)
+      if (r->box().contains(root_cell)) return r;
+    return roots.front();
+  };
+  std::vector<IndexBox> placed;
+  for (int attempt = 0; attempt < 400 && static_cast<int>(placed.size()) < n;
+       ++attempt) {
+    Grid* parent =
+        placed.empty() ? tile_of({0, 0, 0})
+        : placed.size() == 1
+            ? tile_of({root_dims[0] - 1, root_dims[1] - 1, root_dims[2] - 1})
+            : roots[static_cast<std::size_t>(
+                  rng.uniform(0, static_cast<double>(roots.size())))];
+    const IndexBox tile = parent->box().refined(2);
+    IndexBox box;
+    for (int d = 0; d < 3; ++d) {
+      const std::int64_t ext = std::min<std::int64_t>(
+          2 + static_cast<std::int64_t>(rng.uniform(0, 6)), tile.extent(d));
+      box.lo[d] = tile.lo[d] + static_cast<std::int64_t>(rng.uniform(
+                                   0, static_cast<double>(
+                                          tile.extent(d) - ext + 1)));
+      if (placed.empty()) box.lo[d] = 0;
+      if (placed.size() == 1) box.lo[d] = dims1[d] - ext;
+      box.hi[d] = box.lo[d] + ext;
+    }
+    bool disjoint = true;
+    for (const IndexBox& b : placed)
+      if (!b.intersect(box).empty()) disjoint = false;
+    if (!disjoint) continue;
+    placed.push_back(box);
+    auto g = std::make_unique<Grid>(h.make_spec(1, box), p.fields);
+    g->set_parent(parent);
+    h.insert_grid(std::move(g));
+  }
+  auto randomize = [&](Grid* g) {
+    for (Field f : g->field_list())
+      for (double& v : g->field(f))
+        v = is_density_like(f) ? rng.uniform(-0.2, 2.0) : rng.uniform(-1, 1);
+  };
+  for (Grid* r : h.grids(0)) {
+    randomize(r);
+    r->store_old_fields();  // old state at t = 0
+    randomize(r);
+    r->set_time(ext::pos_t(1.0));
+  }
+  for (Grid* g : h.grids(1)) {
+    randomize(g);
+    g->set_time(ext::pos_t(0.3));
+  }
+  return h;
+}
+
+/// Every field byte of every grid, level by level.
+std::vector<unsigned char> field_bytes(const Hierarchy& h) {
+  std::vector<unsigned char> out;
+  for (int l = 0; l <= h.deepest_level(); ++l)
+    for (const Grid* g : h.grids(l))
+      for (Field f : g->field_list()) {
+        const ConstFieldView a = g->field(f);
+        const auto* b = reinterpret_cast<const unsigned char*>(a.data());
+        out.insert(out.end(), b, b + a.size() * sizeof(double));
+      }
+  return out;
+}
+
+/// Ghost cells of level-1 grids that no sibling's active box (periodic
+/// images included) contains: the cells the parent pass must interpolate.
+std::uint64_t uncovered_ghost_cells(const Hierarchy& h) {
+  const auto grids = h.grids(1);
+  const auto shifts = periodic_image_shifts(h.level_dims(1), h.params().periodic);
+  std::uint64_t n = 0;
+  for (const Grid* g : grids) {
+    const IndexBox total = g->box().grown(g->ng(0));
+    for (std::int64_t k = total.lo[2]; k < total.hi[2]; ++k)
+      for (std::int64_t j = total.lo[1]; j < total.hi[1]; ++j)
+        for (std::int64_t i = total.lo[0]; i < total.hi[0]; ++i) {
+          if (g->box().contains(Index3{i, j, k})) continue;
+          bool covered = false;
+          for (const Grid* s : grids)
+            for (std::int64_t kz : shifts[2])
+              for (std::int64_t ky : shifts[1])
+                for (std::int64_t kx : shifts[0])
+                  if (s->box().shifted({kx, ky, kz}).contains(Index3{i, j, k}))
+                    covered = true;
+          if (!covered) ++n;
+        }
+  }
+  return n;
+}
+
+}  // namespace
+
+TEST(BoundaryOracle, SkipCoveredFillMatchesInterpolateAllThenCopy) {
+  struct Case {
+    std::uint64_t seed;
+    Index3 dims;
+    bool periodic;
+    int tiles;
+  };
+  const Case cases[] = {{1, {16, 16, 16}, true, 1},  {2, {16, 16, 16}, false, 1},
+                        {3, {16, 16, 16}, true, 2},  {4, {16, 16, 16}, false, 2},
+                        {5, {16, 16, 32}, true, 2},  {6, {16, 16, 32}, false, 1}};
+  for (const Case& c : cases) {
+    for (const bool cached : {true, false}) {
+      Hierarchy oracle = make_nested_hierarchy(c.seed, c.dims, c.periodic,
+                                               c.tiles, 12);
+      Hierarchy prod = make_nested_hierarchy(c.seed, c.dims, c.periodic,
+                                             c.tiles, 12);
+      ASSERT_GE(prod.num_grids(1), 2u) << "seed " << c.seed;
+      prod.set_use_topology(cached);
+      ASSERT_EQ(field_bytes(oracle), field_bytes(prod));
+      for (int l = 0; l <= 1; ++l) {
+        oracle_set_boundary_values(oracle, l);
+        set_boundary_values(prod, l);
+      }
+      EXPECT_TRUE(field_bytes(oracle) == field_bytes(prod))
+          << "seed " << c.seed << (cached ? " cached" : " all-pairs");
+    }
+  }
+}
+
+TEST(BoundaryOracle, CountersAndFlopsChargeOnlyInterpolatedCells) {
+  Hierarchy h = make_nested_hierarchy(3, {16, 16, 16}, true, 2, 12);
+  set_boundary_values(h, 0);
+  auto& reg = enzo::perf::Registry::global();
+  const std::uint64_t ghosts0 =
+      reg.counter("boundary.ghost_cells_filled").value();
+  const std::uint64_t interp0 =
+      reg.counter("boundary.parent_interp_cells").value();
+  const std::uint64_t copied0 =
+      reg.counter("boundary.sibling_copy_cells").value();
+  const std::uint64_t flops0 =
+      enzo::util::FlopCounter::global().component("interpolation");
+  set_boundary_values(h, 1);
+  const std::uint64_t ghosts =
+      reg.counter("boundary.ghost_cells_filled").value() - ghosts0;
+  const std::uint64_t interp =
+      reg.counter("boundary.parent_interp_cells").value() - interp0;
+  const std::uint64_t copied =
+      reg.counter("boundary.sibling_copy_cells").value() - copied0;
+  const std::uint64_t flops =
+      enzo::util::FlopCounter::global().component("interpolation") - flops0;
+
+  std::uint64_t expect_ghosts = 0, expect_copied = 0;
+  const auto grids = h.grids(1);
+  const auto shifts = periodic_image_shifts(h.level_dims(1), true);
+  for (const Grid* g : grids) {
+    expect_ghosts += static_cast<std::uint64_t>(
+        g->box().grown(g->ng(0)).volume() - g->box().volume());
+    for (const Grid* s : grids)
+      for (std::int64_t kz : shifts[2])
+        for (std::int64_t ky : shifts[1])
+          for (std::int64_t kx : shifts[0]) {
+            if (s == g && kx == 0 && ky == 0 && kz == 0) continue;
+            expect_copied += static_cast<std::uint64_t>(
+                g->box().grown(g->ng(0))
+                    .intersect(s->box().shifted({kx, ky, kz}))
+                    .volume());
+          }
+  }
+  EXPECT_EQ(ghosts, expect_ghosts);
+  EXPECT_EQ(interp, uncovered_ghost_cells(h));
+  EXPECT_LT(interp, ghosts);  // the adjacent siblings cover some ghosts
+  EXPECT_EQ(copied, expect_copied);
+  EXPECT_EQ(flops, enzo::util::flop_cost::kInterpolationPerCell * interp *
+                       h.params().fields.size());
+}
+
+TEST(BoundaryOracle, CoverageCheckStillFiresForSkippedGhosts) {
+  // Child a pokes out of its parent tile: its high-x ghosts at fine x = 24
+  // and 25 map to root cell 12, outside the tile's total region [-4, 12).  Those
+  // ghosts all lie inside sibling b, so the fill skips interpolating them,
+  // but the coverage check must still reject the hierarchy.
+  HierarchyParams p;
+  p.root_dims = {16, 16, 16};
+  p.max_level = 1;
+  Hierarchy h(p);
+  h.build_root(2);  // 8 tiles of 8³
+  auto tile_at = [&](const Index3& lo) -> Grid* {
+    for (Grid* r : h.grids(0))
+      if (r->box().lo == lo) return r;
+    return nullptr;
+  };
+  auto a = std::make_unique<Grid>(h.make_spec(1, {{8, 4, 4}, {22, 8, 8}}),
+                                  p.fields);
+  auto b = std::make_unique<Grid>(h.make_spec(1, {{22, 0, 0}, {30, 16, 16}}),
+                                  p.fields);
+  a->set_parent(tile_at({0, 0, 0}));
+  b->set_parent(tile_at({8, 0, 0}));
+  h.insert_grid(std::move(a));
+  h.insert_grid(std::move(b));
+  EXPECT_THROW(set_boundary_values(h, 1), enzo::Error);
+}
+
+TEST(BoundaryOracle, SedovPastFirstRegridIsThreadCountInvariant) {
+  // The Sedov deck refines at root step 13; run past it on the serial
+  // backend and on 4 lanes, and compare every grid box and field byte.
+  auto run = [](int threads) {
+    enzo::core::ParameterDeck deck = enzo::core::parse_parameter_file(
+        std::string(ENZO_SOURCE_DIR) + "/decks/sedov.enzo");
+    deck.config.exec.threads = threads;
+    deck.config.exec.backend = threads == 1
+                                   ? enzo::exec::Backend::kSerial
+                                   : enzo::exec::Backend::kThreadPool;
+    enzo::core::Simulation sim(deck.config);
+    enzo::core::setup_from_deck(sim, deck);
+    for (int s = 0; s < 14; ++s) sim.advance_root_step();
+    const Hierarchy& h = sim.hierarchy();
+    std::vector<std::int64_t> boxes;
+    for (int l = 0; l <= h.deepest_level(); ++l)
+      for (const Grid* g : h.grids(l))
+        for (int d = 0; d < 3; ++d) {
+          boxes.push_back(g->box().lo[d]);
+          boxes.push_back(g->box().hi[d]);
+        }
+    return std::make_pair(boxes, field_bytes(h));
+  };
+  const auto serial = run(1);
+  const auto pool = run(4);
+  EXPECT_GE(serial.first.size(), 12u) << "no refined grids after 14 steps";
+  EXPECT_EQ(serial.first, pool.first);
+  EXPECT_TRUE(serial.second == pool.second);
 }
