@@ -1,10 +1,11 @@
 // Overlap-topology bench: evolve the scaled collapse so the hierarchy has a
 // real multi-level grid population, then time the three hot overlap
-// consumers — boundary fill, particle redistribution, and the distributed
-// sibling-exchange planner — with the regrid-cached neighbor lists enabled
-// versus the all-pairs reference scans.  Emits BENCH_overlap_topology.json
-// (per-consumer seconds for both paths, speedups, cache build time and link
-// counts) for regression tracking.
+// queries — boundary fill, particle finest-owner lookup, and the
+// distributed sibling-exchange planner — through the regrid-cached neighbor
+// lists versus the all-pairs reference scans of tests/support/oracles.hpp.
+// Emits BENCH_overlap_topology.json (per-consumer seconds for both paths,
+// speedups, cache build time and link counts) for regression tracking, and
+// exits 1 when the two exchange plans differ.
 
 #include <cstdio>
 #include <string>
@@ -12,9 +13,11 @@
 
 #include "collapse_common.hpp"
 #include "mesh/boundary.hpp"
+#include "mesh/interpolate.hpp"
 #include "mesh/topology.hpp"
 #include "parallel/distributed_hierarchy.hpp"
 #include "perf/json.hpp"
+#include "support/oracles.hpp"
 #include "util/timer.hpp"
 
 using namespace enzo;
@@ -25,41 +28,78 @@ constexpr int kRepeats = 40;
 
 struct ConsumerTimes {
   double boundary = 0.0;
-  double nbody = 0.0;
+  double owner = 0.0;
   double exchange_plan = 0.0;
-  std::size_t exchange_blocks = 0;
+  std::size_t owned = 0;  ///< particles whose finest owner is their grid
+  std::vector<parallel::ExchangeBlock> plan;  ///< last plan, all levels
 };
 
-/// Time the overlap consumers `kRepeats` times over the evolved hierarchy.
-/// The toggle must already be set; with the cache enabled, the first
-/// boundary sweep pays the (separately reported) topology build and every
-/// later query hits the generation-keyed cache, which is exactly the
-/// steady-state the per-step code sees between rebuilds.
-ConsumerTimes time_consumers(core::Simulation& sim) {
-  mesh::Hierarchy& h = sim.hierarchy();
+/// The boundary fill driven by the all-pairs sibling enumeration:
+/// interpolate every ghost from the parent, then copy every overlap.
+void all_pairs_boundary_fill(mesh::Hierarchy& h, int level) {
+  const auto grids = h.grids(level);
+  for (std::size_t i = 0; i < grids.size(); ++i) {
+    mesh::Grid* g = grids[i];
+    if (level > 0)
+      mesh::fill_ghosts_from_parent(*g, *g->parent());
+    else if (!h.params().periodic)
+      mesh::fill_outflow_ghosts(*g);
+    for (const mesh::SiblingLink& ln : oracle::sibling_links(h, level, i))
+      if (!ln.overlap.empty()) g->copy_from_sibling(*grids[ln.src], ln.shift);
+  }
+}
+
+/// Time the overlap queries `kRepeats` times over the evolved hierarchy.
+/// On the cached side the topology is already built, so every query hits
+/// the generation-keyed cache — the steady state the per-step code sees
+/// between rebuilds.
+ConsumerTimes time_consumers(mesh::Hierarchy& h, bool cached) {
   ConsumerTimes t;
+  const mesh::OverlapTopology& topo = h.topology();
   for (int rep = 0; rep < kRepeats; ++rep) {
     {
       util::Stopwatch sw;
-      for (int l = 0; l <= h.deepest_level(); ++l)
-        mesh::set_boundary_values(h, l);
+      for (int l = 0; l <= h.deepest_level(); ++l) {
+        if (cached)
+          mesh::set_boundary_values(h, l);
+        else
+          all_pairs_boundary_fill(h, l);
+      }
       t.boundary += sw.seconds();
     }
     {
       util::Stopwatch sw;
-      nbody::redistribute_particles(h);
-      t.nbody += sw.seconds();
+      std::size_t found = 0;
+      for (int l = 0; l <= h.deepest_level(); ++l)
+        for (const mesh::Grid* g : h.grids(l))
+          for (const mesh::Particle& p : g->particles())
+            found += (cached ? topo.finest_owner(p.x)
+                             : oracle::finest_owner(h, p.x)) == g;
+      t.owner += sw.seconds();
+      t.owned = found;
     }
     {
       util::Stopwatch sw;
-      std::size_t blocks = 0;
-      for (int l = 0; l <= h.deepest_level(); ++l)
-        blocks += parallel::plan_sibling_exchange(h, l).size();
+      t.plan.clear();
+      for (int l = 0; l <= h.deepest_level(); ++l) {
+        const auto plan = cached ? parallel::plan_sibling_exchange(h, l)
+                                 : oracle::exchange_plan(h, l);
+        t.plan.insert(t.plan.end(), plan.begin(), plan.end());
+      }
       t.exchange_plan += sw.seconds();
-      t.exchange_blocks = blocks;
     }
   }
   return t;
+}
+
+bool same_plan(const std::vector<parallel::ExchangeBlock>& a,
+               const std::vector<parallel::ExchangeBlock>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].src_id != b[i].src_id || a[i].dst_id != b[i].dst_id ||
+        a[i].region != b[i].region || a[i].shift != b[i].shift)
+      return false;
+  return true;
 }
 
 std::string consumer_json(const char* name, double all_pairs, double cached) {
@@ -89,18 +129,13 @@ int main() {
   std::printf("evolved collapse hierarchy: %d level(s), %zu grid(s)\n",
               h.deepest_level() + 1, total_grids);
 
-  // Reference first: the all-pairs scans never consult the cache, so the
-  // order of the two sweeps cannot contaminate the comparison.
-  h.set_use_topology(false);
-  const ConsumerTimes ref = time_consumers(sim);
-
-  h.set_use_topology(true);
-  // Warm the cache outside the timed region and record its one-off cost;
+  // Build the cache outside the timed region and record its one-off cost;
   // per-step consumers amortize this over every sweep between rebuilds.
   util::Stopwatch build_sw;
   const mesh::OverlapTopology& topo = h.topology();
   const double build_seconds = build_sw.seconds();
-  const ConsumerTimes cached = time_consumers(sim);
+  const ConsumerTimes ref = time_consumers(h, /*cached=*/false);
+  const ConsumerTimes cached = time_consumers(h, /*cached=*/true);
 
   std::printf("\noverlap consumers, %d repeats (all levels per repeat)\n\n",
               kRepeats);
@@ -111,7 +146,7 @@ int main() {
     double a, c;
   } rows[] = {
       {"boundary_fill", ref.boundary, cached.boundary},
-      {"nbody_redistribute", ref.nbody, cached.nbody},
+      {"finest_owner", ref.owner, cached.owner},
       {"exchange_plan", ref.exchange_plan, cached.exchange_plan},
   };
   double ref_total = 0.0, cached_total = 0.0;
@@ -125,10 +160,12 @@ int main() {
               cached_total > 0 ? ref_total / cached_total : 0.0);
   std::printf("\ntopology build: %.4f s, %zu sibling link(s) cached\n",
               build_seconds, topo.total_links());
-  if (ref.exchange_blocks != cached.exchange_blocks) {
+  std::printf("particles at their finest owner: all-pairs %zu, cached %zu\n",
+              ref.owned, cached.owned);
+  if (!same_plan(ref.plan, cached.plan)) {
     std::fprintf(stderr,
                  "exchange plans diverge: all-pairs %zu block(s), cached %zu\n",
-                 ref.exchange_blocks, cached.exchange_blocks);
+                 ref.plan.size(), cached.plan.size());
     return 1;
   }
 
@@ -141,7 +178,7 @@ int main() {
       ",\"sibling_links\":" + perf::json_number(topo.total_links()) +
       ",\"consumers\":[" +
       consumer_json("boundary_fill", ref.boundary, cached.boundary) + "," +
-      consumer_json("nbody_redistribute", ref.nbody, cached.nbody) + "," +
+      consumer_json("finest_owner", ref.owner, cached.owner) + "," +
       consumer_json("exchange_plan", ref.exchange_plan, cached.exchange_plan) +
       "],\"total_all_pairs_seconds\":" + perf::json_number(ref_total) +
       ",\"total_cached_seconds\":" + perf::json_number(cached_total) +

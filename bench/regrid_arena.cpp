@@ -1,17 +1,17 @@
 // Regrid-storm bench (§5): the hierarchy is rebuilt thousands of times per
 // run, so rebuild cost — and the "extremely large number of memory
 // allocations and frees" it generates — is a first-order concern.  Drives
-// steady-state rebuilds of a refined hierarchy under the three storage
-// strategies (plain heap / pooled blocks / pooled + incremental keep) and
-// reports wall time per rebuild, AllocStats heap allocations per rebuild,
-// the arena pool hit rate, and kept-grid counts.  Emits BENCH_regrid.json
-// for regression tracking.
+// two rebuild storms of a refined hierarchy — "steady" (every rebuild
+// reproduces the same boxes, so every grid is kept) and "moving" (flags
+// alternate between two spheres, so moved grids are built fresh from the
+// pools) — and reports wall time per rebuild, AllocStats heap allocations
+// per rebuild, the arena pool hit rate, and kept-grid counts.  Emits
+// BENCH_regrid.json for regression tracking.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "mesh/field_storage.hpp"
 #include "mesh/hierarchy.hpp"
 #include "perf/json.hpp"
 #include "perf/metrics.hpp"
@@ -28,16 +28,15 @@ namespace {
 constexpr int kWarmups = 3;   // reach the nesting steady state + prime pools
 constexpr int kRebuilds = 20;
 
-/// Flag a fixed global sphere of parent cells: position-based, so every
-/// rebuild reproduces the same boxes — the steady state of a long run
-/// between bursts of structural change.
-Hierarchy::FlagFn sphere_flagger() {
-  return [](const Grid& g, std::vector<Index3>& flags) {
+/// Flag a fixed global sphere of parent cells around (cx, 0.5, 0.5):
+/// position-based, so every rebuild with it reproduces the same boxes.
+Hierarchy::FlagFn sphere_flagger(double cx) {
+  return [cx](const Grid& g, std::vector<Index3>& flags) {
     const Index3 dims = g.spec().level_dims;
     for (std::int64_t k = g.box().lo[2]; k < g.box().hi[2]; ++k)
       for (std::int64_t j = g.box().lo[1]; j < g.box().hi[1]; ++j)
         for (std::int64_t i = g.box().lo[0]; i < g.box().hi[0]; ++i) {
-          const double x = (static_cast<double>(i) + 0.5) / dims[0] - 0.5;
+          const double x = (static_cast<double>(i) + 0.5) / dims[0] - cx;
           const double y = (static_cast<double>(j) + 0.5) / dims[1] - 0.5;
           const double z = (static_cast<double>(k) + 0.5) / dims[2] - 0.5;
           if (x * x + y * y + z * z < 0.2 * 0.2) flags.push_back({i, j, k});
@@ -45,28 +44,33 @@ Hierarchy::FlagFn sphere_flagger() {
   };
 }
 
-struct ModeResult {
-  std::string mode;
+struct StormResult {
+  std::string storm;
   double rebuild_seconds = 0.0;
   double heap_allocs_per_rebuild = 0.0;
-  double arena_hit_rate = 0.0;
+  std::uint64_t pool_acquires = 0;
+  double arena_hit_rate = 0.0;  ///< hits / acquires (0 when none)
   double kept_grids_per_rebuild = 0.0;
   std::size_t grids = 0;
 };
 
-ModeResult run_mode(const std::string& name, const mesh::ArenaOptions& opt) {
+/// Rebuild cycling through `flags`, after warm-up passes over the cycle.
+StormResult run_storm(const std::string& name,
+                      const std::vector<Hierarchy::FlagFn>& flags) {
   mesh::HierarchyParams p;
   p.root_dims = {32, 32, 32};
   p.max_level = 2;
-  p.arena = opt;
   Hierarchy h(p);
   h.build_root();
   for (Grid* g : h.grids(0)) {
     for (mesh::Field f : g->field_list()) g->field(f).fill(1.0);
     g->store_old_fields();
   }
-  const Hierarchy::FlagFn flag = sphere_flagger();
-  for (int i = 0; i < kWarmups; ++i) h.rebuild(1, flag);
+  auto flag = [&](int i) -> const Hierarchy::FlagFn& {
+    return flags[static_cast<std::size_t>(i) % flags.size()];
+  };
+  for (int i = 0; i < kWarmups * static_cast<int>(flags.size()); ++i)
+    h.rebuild(1, flag(i));
 
   perf::Registry& reg = perf::Registry::global();
   const std::uint64_t allocs0 = util::AllocStats::global().allocations();
@@ -74,19 +78,18 @@ ModeResult run_mode(const std::string& name, const mesh::ArenaOptions& opt) {
   const std::uint64_t miss0 = reg.counter("arena.pool_misses").value();
   const std::uint64_t kept0 = reg.counter("arena.regrid_kept_grids").value();
   util::Stopwatch sw;
-  for (int i = 0; i < kRebuilds; ++i) h.rebuild(1, flag);
-  ModeResult r;
-  r.mode = name;
+  for (int i = 0; i < kRebuilds; ++i) h.rebuild(1, flag(i));
+  StormResult r;
+  r.storm = name;
   r.rebuild_seconds = sw.seconds() / kRebuilds;
   r.heap_allocs_per_rebuild =
       static_cast<double>(util::AllocStats::global().allocations() - allocs0) /
       kRebuilds;
   const std::uint64_t hits = reg.counter("arena.pool_hits").value() - hits0;
-  const std::uint64_t misses =
-      reg.counter("arena.pool_misses").value() - miss0;
+  r.pool_acquires = hits + reg.counter("arena.pool_misses").value() - miss0;
   r.arena_hit_rate =
-      hits + misses > 0
-          ? static_cast<double>(hits) / static_cast<double>(hits + misses)
+      r.pool_acquires > 0
+          ? static_cast<double>(hits) / static_cast<double>(r.pool_acquires)
           : 0.0;
   r.kept_grids_per_rebuild =
       static_cast<double>(reg.counter("arena.regrid_kept_grids").value() -
@@ -100,45 +103,37 @@ ModeResult run_mode(const std::string& name, const mesh::ArenaOptions& opt) {
 }  // namespace
 
 int main() {
-  mesh::ArenaOptions heap;
-  heap.pool = false;
-  heap.incremental = false;
-  mesh::ArenaOptions pool_only;
-  pool_only.incremental = false;
-  const ModeResult modes[] = {
-      run_mode("heap_full", heap),
-      run_mode("pool_full", pool_only),
-      run_mode("pool_incremental", mesh::ArenaOptions{}),
+  const StormResult storms[] = {
+      run_storm("steady", {sphere_flagger(0.5)}),
+      run_storm("moving", {sphere_flagger(0.4), sphere_flagger(0.6)}),
   };
-
-  std::printf("steady-state regrid storm, %d rebuilds per mode\n\n",
-              kRebuilds);
-  std::printf("%-18s %14s %16s %10s %12s\n", "mode", "rebuild [s]",
-              "allocs/rebuild", "hit rate", "kept/rebuild");
-  for (const ModeResult& m : modes)
-    std::printf("%-18s %14.6f %16.1f %10.3f %12.1f\n", m.mode.c_str(),
-                m.rebuild_seconds, m.heap_allocs_per_rebuild,
-                m.arena_hit_rate, m.kept_grids_per_rebuild);
-  const double base = modes[0].rebuild_seconds;
-  if (modes[2].rebuild_seconds > 0.0)
-    std::printf("\nincremental speedup over heap_full: %.2fx\n",
-                base / modes[2].rebuild_seconds);
+  std::printf("regrid storms, %d rebuilds each\n\n", kRebuilds);
+  std::printf("%-8s %6s %12s %15s %14s %9s %13s\n", "storm", "grids",
+              "rebuild [s]", "allocs/rebuild", "pool acquires", "hit rate",
+              "kept/rebuild");
+  for (const StormResult& r : storms)
+    std::printf("%-8s %6zu %12.6f %15.1f %14llu %9.3f %13.1f\n",
+                r.storm.c_str(), r.grids, r.rebuild_seconds,
+                r.heap_allocs_per_rebuild,
+                static_cast<unsigned long long>(r.pool_acquires),
+                r.arena_hit_rate, r.kept_grids_per_rebuild);
 
   const char* out_path = "BENCH_regrid.json";
   std::string json = "{\"bench\":\"regrid_arena\",\"rebuilds\":" +
-                     std::to_string(kRebuilds) + ",\"modes\":[";
+                     std::to_string(kRebuilds) + ",\"storms\":[";
   bool first = true;
-  for (const ModeResult& m : modes) {
+  for (const StormResult& r : storms) {
     if (!first) json += ",";
     first = false;
-    json += "{\"mode\":\"" + perf::json_escape(m.mode) +
-            "\",\"grids\":" + std::to_string(m.grids) +
-            ",\"rebuild_seconds\":" + perf::json_number(m.rebuild_seconds) +
+    json += "{\"storm\":\"" + perf::json_escape(r.storm) +
+            "\",\"grids\":" + std::to_string(r.grids) +
+            ",\"rebuild_seconds\":" + perf::json_number(r.rebuild_seconds) +
             ",\"heap_allocs_per_rebuild\":" +
-            perf::json_number(m.heap_allocs_per_rebuild) +
-            ",\"arena_hit_rate\":" + perf::json_number(m.arena_hit_rate) +
+            perf::json_number(r.heap_allocs_per_rebuild) +
+            ",\"pool_acquires\":" + std::to_string(r.pool_acquires) +
+            ",\"arena_hit_rate\":" + perf::json_number(r.arena_hit_rate) +
             ",\"kept_grids_per_rebuild\":" +
-            perf::json_number(m.kept_grids_per_rebuild) + "}";
+            perf::json_number(r.kept_grids_per_rebuild) + "}";
   }
   json += "]}\n";
   if (std::FILE* f = std::fopen(out_path, "w")) {

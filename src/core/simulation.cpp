@@ -461,33 +461,23 @@ void Simulation::evolve_level(int level, ext::pos_t parent_time) {
       // which is exactly the serial ordering restricted to that parent
       // (cross-parent writes touch disjoint cells).
       auto children = hierarchy_.grids(level + 1);
-      std::vector<mesh::ParentGroup> local;
-      const std::vector<mesh::ParentGroup>* groups = &local;
-      if (hierarchy_.use_topology() && !children.empty()) {
-        // Same first-seen-order grouping, precomputed at rebuild time.
-        groups = &hierarchy_.topology().children_by_parent(level + 1);
-      } else {
-        for (Grid* child : children) {
-          auto it = std::find_if(local.begin(), local.end(), [&](auto& pr) {
-            return pr.first == child->parent();
-          });
-          if (it == local.end())
-            local.emplace_back(child->parent(), std::vector<Grid*>{child});
-          else
-            it->second.push_back(child);
-        }
-      }
+      // The topology cache holds the first-seen-order grouping precomputed.
+      const std::vector<mesh::ParentGroup> none;
+      const std::vector<mesh::ParentGroup>& groups =
+          children.empty()
+              ? none
+              : hierarchy_.topology().children_by_parent(level + 1);
       ex.for_each(
-          {"flux_projection", perf::component::kOther, level}, groups->size(),
+          {"flux_projection", perf::component::kOther, level}, groups.size(),
           [&](std::size_t n) {
-            const auto& [parent, kids] = (*groups)[n];
+            const auto& [parent, kids] = groups[n];
             for (Grid* child : kids)
               mesh::flux_correct_from_child(*child, *parent);
             for (Grid* child : kids) mesh::project_to_parent(*child, *parent);
           },
           [&](std::size_t n) {
             std::uint64_t c = 0;
-            for (const Grid* child : (*groups)[n].second)
+            for (const Grid* child : groups[n].second)
               c += static_cast<std::uint64_t>(child->nx(0)) * child->nx(1) *
                    child->nx(2);
             return c;

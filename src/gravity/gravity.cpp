@@ -120,15 +120,14 @@ void copy_potential_overlap(Grid& g, const Grid& s, const mesh::IndexBox& ov,
 }
 
 /// Copy sibling interior potential into g's ghost layer where they overlap
-/// (with periodic images).  When a topology cache is supplied only the
-/// cached neighbor links are visited — this runs every multigrid sweep, so
-/// it was the hottest all-pairs consumer.  The potential's one-cell ghost
+/// (with periodic images).  Only the cached topology's neighbor links are
+/// visited — this runs every multigrid sweep.  The potential's one-cell ghost
 /// box is a subset of the cache's "wide" candidate box, so every sibling
 /// with a nonempty potential overlap is guaranteed to appear in the link
 /// list (the exact 1-ghost intersection is recomputed per link).
 void exchange_potential_with_siblings(Grid& g,
                                       const std::vector<Grid*>& level_grids,
-                                      const mesh::OverlapTopology* topo,
+                                      const mesh::OverlapTopology& topo,
                                       int level, std::size_t ordinal) {
   const int gx = pot_ghost(g, 0), gy = pot_ghost(g, 1), gz = pot_ghost(g, 2);
   mesh::IndexBox ghost_box = g.box();
@@ -138,29 +137,11 @@ void exchange_potential_with_siblings(Grid& g,
   ghost_box.hi[0] += gx;
   ghost_box.hi[1] += gy;
   ghost_box.hi[2] += gz;
-  if (topo != nullptr) {
-    for (const mesh::SiblingLink& ln : topo->siblings(level, ordinal)) {
-      const Grid* s = level_grids[ln.src];
-      const mesh::IndexBox ov =
-          ghost_box.intersect(s->box().shifted(ln.shift));
-      if (ov.empty()) continue;
-      copy_potential_overlap(g, *s, ov, ln.shift[0], ln.shift[1],
-                             ln.shift[2]);
-    }
-    return;
-  }
-  const auto shifts = mesh::periodic_image_shifts(g.spec().level_dims,
-                                                  g.spec().periodic);
-  for (Grid* s : level_grids) {
-    for (std::int64_t kz : shifts[2])
-      for (std::int64_t ky : shifts[1])
-        for (std::int64_t kx : shifts[0]) {
-          if (s == &g && kx == 0 && ky == 0 && kz == 0) continue;
-          const mesh::IndexBox ov =
-              ghost_box.intersect(s->box().shifted({kx, ky, kz}));
-          if (ov.empty()) continue;
-          copy_potential_overlap(g, *s, ov, kx, ky, kz);
-        }
+  for (const mesh::SiblingLink& ln : topo.siblings(level, ordinal)) {
+    const Grid* s = level_grids[ln.src];
+    const mesh::IndexBox ov = ghost_box.intersect(s->box().shifted(ln.shift));
+    if (ov.empty()) continue;
+    copy_potential_overlap(g, *s, ov, ln.shift[0], ln.shift[1], ln.shift[2]);
   }
 }
 
@@ -229,38 +210,23 @@ void restrict_gravitating_mass(mesh::Hierarchy& h, exec::LevelExecutor* ex) {
     // Children write into their (possibly shared) parent's mass array:
     // group by parent so each parent is touched by exactly one task, which
     // preserves the serial per-parent write order exactly.  The topology
-    // cache holds the same first-seen-order grouping precomputed.
-    std::vector<mesh::ParentGroup> local;
-    const std::vector<mesh::ParentGroup>* groups = &local;
-    if (h.use_topology() && !children.empty()) {
-      groups = &h.topology().children_by_parent(l);
-      for (const mesh::ParentGroup& gp : *groups)
-        ENZO_REQUIRE(gp.first != nullptr,
-                     "gravity restriction without parent");
-    } else {
-      for (Grid* c : children) {
-        Grid* parent = c->parent();
-        ENZO_REQUIRE(parent != nullptr, "gravity restriction without parent");
-        auto it = std::find_if(
-            local.begin(), local.end(),
-            [&](const auto& gp) { return gp.first == parent; });
-        if (it == local.end())
-          local.emplace_back(parent, std::vector<Grid*>{c});
-        else
-          it->second.push_back(c);
-      }
-    }
+    // cache holds that first-seen-order grouping precomputed.
+    const std::vector<mesh::ParentGroup> none;
+    const std::vector<mesh::ParentGroup>& groups =
+        children.empty() ? none : h.topology().children_by_parent(l);
+    for (const mesh::ParentGroup& gp : groups)
+      ENZO_REQUIRE(gp.first != nullptr, "gravity restriction without parent");
     exec::fallback(ex).for_each(
         {"restrict_gravitating_mass", perf::component::kGravity, l},
-        groups->size(),
+        groups.size(),
         [&](std::size_t n) {
-          Grid* parent = (*groups)[n].first;
-          for (Grid* g : (*groups)[n].second)
+          Grid* parent = groups[n].first;
+          for (Grid* g : groups[n].second)
             restrict_child_mass(*g, *parent);
         },
         [&](std::size_t n) {
           std::uint64_t c = 0;
-          for (const Grid* g : (*groups)[n].second) c += cells_of(*g);
+          for (const Grid* g : groups[n].second) c += cells_of(*g);
           return c;
         });
   }
@@ -281,8 +247,7 @@ void solve_subgrid_gravity(mesh::Hierarchy& h, int level,
   const double coef = p.grav_const_code / a;
   // Fetch the cached neighbor lists before the first phase (the hierarchy is
   // frozen inside phases, so the reference stays valid for all of them).
-  const mesh::OverlapTopology* topo = h.use_topology() ? &h.topology()
-                                                       : nullptr;
+  const mesh::OverlapTopology& topo = h.topology();
 
   // Per-grid RHS and initial guess (interpolated parent potential
   // everywhere, which also sets the Dirichlet ghosts).  Each task writes

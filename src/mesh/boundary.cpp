@@ -67,14 +67,12 @@ void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
   static perf::Counter& sibling_cells =
       perf::Registry::global().counter("boundary.sibling_copy_cells");
   auto level_grids = h.grids(level);
-  const Index3 dims = h.level_dims(level);
   const bool periodic = h.params().periodic;
 
   // Fetch the cached neighbor lists *before* entering the phase: the
   // hierarchy is frozen inside it, so the reference stays valid throughout.
   const OverlapTopology* topo =
-      (h.use_topology() && !level_grids.empty()) ? &h.topology() : nullptr;
-  const auto shifts = periodic_image_shifts(dims, periodic);
+      level_grids.empty() ? nullptr : &h.topology();
 
   // Grids fill independently: a task writes only its own ghost cells (its
   // interior is disjoint from every sibling's total region, shifted images
@@ -90,34 +88,12 @@ void set_boundary_values(Hierarchy& h, int level, exec::LevelExecutor* ex) {
             static_cast<std::uint64_t>(g->nx(0)) * g->nx(1) * g->nx(2);
         ghost_cells.add(total - active);
         // This grid's sibling overlaps (periodic images included), in the
-        // order the copies must run: later copies overwrite earlier ones.
-        // The cached links replay the all-pairs scan order exactly (sources
-        // ascending, shifts in canonical nesting), so both branches visit
-        // the same overlaps in the same order.
+        // order the copies must run: later copies overwrite earlier ones
+        // (sources ascending, shifts in canonical nesting).
         auto for_each_sibling = [&](auto&& fn) {
-          if (topo != nullptr) {
-            for (const SiblingLink& ln : topo->siblings(level, n))
-              if (!ln.overlap.empty())
-                fn(*level_grids[ln.src], ln.shift, ln.overlap);
-            return;
-          }
-          IndexBox ghost_box = g->box();
-          for (int d = 0; d < 3; ++d) {
-            ghost_box.lo[d] -= g->ng(d);
-            ghost_box.hi[d] += g->ng(d);
-          }
-          // enzo-lint: allow(topology-allpairs) reference cross-check path
-          for (Grid* s : level_grids) {
-            for (std::int64_t kz : shifts[2])
-              for (std::int64_t ky : shifts[1])
-                for (std::int64_t kx : shifts[0]) {
-                  if (s == g && kx == 0 && ky == 0 && kz == 0) continue;
-                  const Index3 shift{kx, ky, kz};
-                  const IndexBox ov =
-                      ghost_box.intersect(s->box().shifted(shift));
-                  if (!ov.empty()) fn(*s, shift, ov);
-                }
-          }
+          for (const SiblingLink& ln : topo->siblings(level, n))
+            if (!ln.overlap.empty())
+              fn(*level_grids[ln.src], ln.shift, ln.overlap);
         };
         // Step 1: parent interpolation (root has no parent), of only the
         // ghost cells no sibling copy overwrites in step 2.  Skipping the

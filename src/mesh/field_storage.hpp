@@ -39,20 +39,6 @@ struct Particle {
 using FieldView = util::ArrayView3<double>;
 using ConstFieldView = util::ArrayView3<const double>;
 
-/// Storage + regrid strategy for a hierarchy (deck keys ArenaMode /
-/// BlockGranularity).
-struct ArenaOptions {
-  /// Recycle field blocks through per-level free lists across regrids.
-  bool pool = true;
-  /// Diff rebuilt Berger–Rigoutsos boxes against the previous generation
-  /// and keep unchanged grids (and their storage) alive.  Byte-identical to
-  /// a full rebuild by contract (grid ids are the sole, unobservable
-  /// exception: kept grids keep theirs).
-  bool incremental = true;
-  /// Capacity quantum in doubles for the size-class free lists.
-  std::int64_t granularity = 2048;
-};
-
 /// An owning, shaped 3-d double buffer whose storage is on loan from a
 /// util::Arena (or the aligned heap fallback when no arena is attached).
 /// Move-only; resize always writes every element (matching Array3::resize's
@@ -168,12 +154,10 @@ class ConstParticleView {
 /// kinds of storage from the generation it replaced.
 class StorageArena {
  public:
-  explicit StorageArena(util::ArenaConfig cfg = {});
-
   [[nodiscard]] util::Arena& doubles() { return arena_; }
 
-  /// An empty particle vector, recycled (capacity intact) when pooling is
-  /// on and one is available.
+  /// An empty particle vector, recycled (capacity intact) when one is
+  /// available.
   [[nodiscard]] std::vector<Particle> acquire_particles();
   void release_particles(std::vector<Particle>&& v);
 

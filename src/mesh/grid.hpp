@@ -193,7 +193,7 @@ class Grid {
   /// box): release auxiliary storage (fluxes, boundary fluxes, gravity)
   /// back to the arena, zero the ghost shells, and re-anchor parent/time —
   /// after which the grid is bitwise indistinguishable from one freshly
-  /// built and filled by the full-rebuild path (grid id excepted: a kept
+  /// built and filled by a full rebuild (grid id excepted: a kept
   /// grid keeps its id, which no physics or serialized byte observes).
   void reset_for_reuse(Grid* parent);
 

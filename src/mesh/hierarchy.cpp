@@ -64,8 +64,7 @@ Hierarchy& Hierarchy::operator=(Hierarchy&& other) noexcept {
 std::shared_ptr<StorageArena> Hierarchy::arena_for_level(int level) {
   ENZO_REQUIRE(level >= 0, "negative level");
   while (static_cast<int>(arenas_.size()) <= level)
-    arenas_.push_back(std::make_shared<StorageArena>(util::ArenaConfig{
-        params_.arena.pool, params_.arena.granularity}));
+    arenas_.push_back(std::make_shared<StorageArena>());
   return arenas_[level];
 }
 
@@ -217,15 +216,6 @@ const std::vector<GridDescriptor>& Hierarchy::descriptors(int level) const {
 void Hierarchy::rebuild(int level, const FlagFn& flag) {
   ENZO_REQUIRE(!exec::in_phase(),
                "hierarchy mutation inside an executor phase");
-  // Previous-generation topology for the incremental diff (the PR-5 cache):
-  // usable only when it was built for the structure this rebuild replaces.
-  // The object stays alive through the rebuild — it is only dropped on the
-  // next topology() query — and per-level queries below always target
-  // levels that have not been swapped yet.
-  const OverlapTopology* prev_topo = nullptr;
-  if (params_.arena.incremental &&
-      topology_generation_.load(std::memory_order_acquire) == generation_)
-    prev_topo = topology_.get();
   ++generation_;
   ENZO_REQUIRE(level >= 1, "cannot rebuild the root level");
   ENZO_REQUIRE(level < static_cast<int>(levels_.size()) + 1,
@@ -320,11 +310,11 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     // ---- 3. create the new grids, fill, and swap ----------------------------
     // Incremental regrid: before building a grid for a canonical
     // (cluster box × parent) piece, look for a previous-generation grid
-    // with *exactly* that box — through the PR-5 topology point index when
-    // the cache is fresh, else a box-anchored lookup — and keep it (and
-    // its storage) alive instead of reallocating and refilling.  A kept
-    // grid's active bytes equal what the full path would rebuild: the full
-    // path's same-box self-copy restores its own data verbatim, disjoint
+    // with *exactly* that box (grids on a level are disjoint, so at most
+    // one old grid starts at the piece's lo corner) and keep it (and its
+    // storage) alive instead of reallocating and refilling.  A kept
+    // grid's active bytes equal what a full rebuild would produce: its
+    // same-box self-copy restores the grid's own data verbatim, disjoint
     // same-level neighbours contribute nothing, and the parent
     // interpolation underneath is fully overwritten.  Only auxiliary state
     // needs resetting (Grid::reset_for_reuse).
@@ -362,28 +352,10 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
             // such sliver has no grandchildren, so dropping it is safe.
             continue;
           }
-          Grid* reuse = nullptr;
-          std::size_t reuse_idx = 0;
-          if (params_.arena.incremental && !old_raw.empty()) {
-            Grid* cand = prev_topo != nullptr
-                             ? prev_topo->grid_at(l, fine.lo)
-                             : nullptr;
-            if (cand == nullptr) {
-              const auto it = old_by_lo.find(key_of(fine.lo));
-              if (it != old_by_lo.end()) cand = old_raw[it->second];
-            }
-            if (cand != nullptr && cand->box() == fine) {
-              const auto it = old_by_lo.find(key_of(cand->box().lo));
-              ENZO_REQUIRE(it != old_by_lo.end() &&
-                               old_raw[it->second] == cand,
-                           "incremental regrid diff index out of sync");
-              reuse = cand;
-              reuse_idx = it->second;
-            }
-          }
-          if (reuse != nullptr) {
-            reuse->reset_for_reuse(parent);
-            fresh.push_back(std::move(levels_[l][reuse_idx]));
+          const auto it = old_by_lo.find(key_of(fine.lo));
+          if (it != old_by_lo.end() && old_raw[it->second]->box() == fine) {
+            old_raw[it->second]->reset_for_reuse(parent);
+            fresh.push_back(std::move(levels_[l][it->second]));
             fresh_kept.push_back(1);
             ++kept_count;
           } else {
@@ -416,8 +388,8 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
 
     // Particles: pull down from parents into new grids; push old-grid
     // particles either into the new grids or back up to the parent.  Pulls
-    // are staged per destination and installed after both passes, so the
-    // incremental path reproduces the full path's append order exactly —
+    // are staged per destination and installed after both passes, so kept
+    // grids reproduce a full rebuild's append order exactly —
     // [parent pulls in parent order] + [old-grid particles in old order] —
     // even when a destination is itself one of the old grids.
     auto grid_ordinal_for = [&](const Particle& p) -> std::ptrdiff_t {

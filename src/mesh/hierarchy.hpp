@@ -39,13 +39,6 @@ struct HierarchyParams {
   ClusterParams cluster;
   int flag_buffer = 1;   ///< cells of padding around flagged regions
   std::int64_t min_grid_cells = 8;  ///< discard degenerate slivers
-  /// Storage pooling + incremental-regrid strategy (deck keys ArenaMode /
-  /// BlockGranularity).
-  ArenaOptions arena;
-  /// Route overlap consumers through the regrid-cached OverlapTopology;
-  /// off = the all-pairs reference scans (kept compiled for the
-  /// equivalence tests and benches).  Per-hierarchy, not process-global.
-  bool use_overlap_topology = true;
 };
 
 /// Sterile object: everything a remote rank needs to know about a grid in
@@ -95,14 +88,6 @@ class Hierarchy {
 
   /// The storage arena for a level, created on first use.
   [[nodiscard]] std::shared_ptr<StorageArena> arena_for_level(int level);
-
-  /// Per-hierarchy switch for the cached-topology fast paths (see
-  /// HierarchyParams::use_overlap_topology); mutable so equivalence tests
-  /// and benches can flip one hierarchy without global state.
-  [[nodiscard]] bool use_topology() const {
-    return params_.use_overlap_topology;
-  }
-  void set_use_topology(bool on) { params_.use_overlap_topology = on; }
 
   /// Flag callback: append the *global* (level index space) indices of the
   /// grid's active cells that require refinement.

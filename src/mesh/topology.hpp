@@ -13,10 +13,11 @@
 //   (a) sibling neighbour lists — for each grid, the (source ordinal,
 //       periodic-image shift) pairs with a nonempty intersection against the
 //       grid's ghost-grown box, with that intersection precomputed.  Link
-//       order reproduces the historical all-pairs scan exactly (sources in
-//       level order, shifts enumerated {0, +dims, -dims} nested kz/ky/kx),
-//       so routing a consumer through the cache preserves its overwrite
-//       semantics bit for bit — the PR-3 determinism contract.
+//       order reproduces the all-pairs scan exactly (sources in level
+//       order, shifts enumerated {0, +dims, -dims} nested kz/ky/kx), so
+//       routing a consumer through the cache preserves its overwrite
+//       semantics bit for bit — the determinism contract.  The scan itself
+//       is a test-only oracle (tests/support/oracles.hpp).
 //   (b) parent↔child overlap pair lists grouped by parent, in first-seen
 //       child order (the grouping flux projection and mass restriction
 //       previously rebuilt with a linear find_if per child, per call).

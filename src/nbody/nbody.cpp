@@ -178,8 +178,7 @@ void redistribute_particles(mesh::Hierarchy& h) {
   // instead of scanning every grid of every deeper level; its candidate
   // lists preserve grid order, so the owner it returns is exactly the grid
   // the linear deepest-first scan would have found.
-  const mesh::OverlapTopology* topo =
-      h.use_topology() ? &h.topology() : nullptr;
+  const mesh::OverlapTopology& topo = h.topology();
   std::vector<std::pair<Particle, Grid*>> homeless;
   for (int l = h.deepest_level(); l >= 0; --l)
     for (Grid* g : h.grids(l)) {
@@ -187,41 +186,15 @@ void redistribute_particles(mesh::Hierarchy& h) {
       std::vector<Particle> keep;
       keep.reserve(pp.size());
       for (Particle& p : pp) {
-        if (topo != nullptr) {
-          Grid* owner = topo->finest_owner(p.x);
-          if (owner == g)
-            keep.push_back(p);
-          else
-            homeless.emplace_back(p, owner);
-          continue;
-        }
-        bool stays = g->contains_position(p.x);
-        if (stays) {
-          for (int fl = l + 1; fl <= h.deepest_level() && stays; ++fl)
-            // enzo-lint: allow(topology-allpairs) reference finest-owner scan
-            for (Grid* fg : h.grids(fl))
-              if (fg->contains_position(p.x)) {
-                stays = false;
-                break;
-              }
-        }
-        if (stays)
+        Grid* owner = topo.finest_owner(p.x);
+        if (owner == g)
           keep.push_back(p);
         else
-          homeless.emplace_back(p, nullptr);
+          homeless.emplace_back(p, owner);
       }
       pp.swap(keep);
     }
-  for (auto& [p, owner] : homeless) {
-    Grid* dest = owner;
-    if (dest == nullptr && topo == nullptr) {
-      for (int l = h.deepest_level(); l >= 0 && !dest; --l)
-        for (Grid* g : h.grids(l))
-          if (g->contains_position(p.x)) {
-            dest = g;
-            break;
-          }
-    }
+  for (auto& [p, dest] : homeless) {
     ENZO_REQUIRE(dest != nullptr,
                  "particle left the domain at (" +
                      std::to_string(ext::pos_to_double(p.x[0])) + ", " +

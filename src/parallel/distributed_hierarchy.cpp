@@ -16,40 +16,13 @@ std::vector<ExchangeBlock> plan_sibling_exchange(const mesh::Hierarchy& h,
   // order reproduces its overwrite semantics bit for bit.
   std::vector<ExchangeBlock> plan;
   const auto grids = h.grids(level);
-  if (h.use_topology() && !grids.empty()) {
-    // The cached overlap *is* the ghost-grown intersection computed below,
-    // and the link order replays the all-pairs scan order, so both branches
-    // emit identical plans.
-    const mesh::OverlapTopology& topo = h.topology();
-    for (std::size_t n = 0; n < grids.size(); ++n) {
-      for (const mesh::SiblingLink& ln : topo.siblings(level, n)) {
-        if (ln.overlap.empty()) continue;
-        plan.push_back({grids[ln.src]->id(), grids[n]->id(), ln.overlap,
-                        ln.shift});
-      }
-    }
-    return plan;
-  }
-  const mesh::Index3 dims = h.level_dims(level);
-  const bool periodic = h.params().periodic;
-  const auto shifts = mesh::periodic_image_shifts(dims, periodic);
-  for (const Grid* g : grids) {
-    mesh::IndexBox total = g->box();
-    for (int d = 0; d < 3; ++d) {
-      total.lo[d] -= g->ng(d);
-      total.hi[d] += g->ng(d);
-    }
-    // enzo-lint: allow(topology-allpairs) reference exchange-plan builder
-    for (const Grid* s : grids) {
-      for (std::int64_t kz : shifts[2])
-        for (std::int64_t ky : shifts[1])
-          for (std::int64_t kx : shifts[0]) {
-            if (s == g && kx == 0 && ky == 0 && kz == 0) continue;
-            const mesh::IndexBox ov =
-                total.intersect(s->box().shifted({kx, ky, kz}));
-            if (ov.empty()) continue;
-            plan.push_back({s->id(), g->id(), ov, {kx, ky, kz}});
-          }
+  if (grids.empty()) return plan;
+  const mesh::OverlapTopology& topo = h.topology();
+  for (std::size_t n = 0; n < grids.size(); ++n) {
+    for (const mesh::SiblingLink& ln : topo.siblings(level, n)) {
+      if (ln.overlap.empty()) continue;
+      plan.push_back({grids[ln.src]->id(), grids[n]->id(), ln.overlap,
+                      ln.shift});
     }
   }
   return plan;

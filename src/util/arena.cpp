@@ -5,7 +5,6 @@
 
 #include "perf/metrics.hpp"
 #include "util/alloc_stats.hpp"
-#include "util/error.hpp"
 
 namespace enzo::util {
 
@@ -51,21 +50,11 @@ void aligned_delete(double* p) {
 
 }  // namespace
 
-Arena::Arena(ArenaConfig cfg) : cfg_(cfg) {
-  ENZO_REQUIRE(cfg_.granularity >= 1, "arena granularity must be >= 1");
-}
-
 Arena::~Arena() { trim(); }
-
-std::size_t Arena::round_up(std::size_t doubles) const {
-  const std::size_t g = static_cast<std::size_t>(cfg_.granularity);
-  if (doubles == 0) return g;
-  return ((doubles + g - 1) / g) * g;
-}
 
 ArenaBlock Arena::acquire(std::size_t doubles) {
   const std::size_t cap = round_up(doubles);
-  if (cfg_.pool) {
+  {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pool_.find(cap);
     if (it != pool_.end() && !it->second.empty()) {
@@ -96,19 +85,14 @@ void Arena::release(ArenaBlock&& b) {
   const std::size_t bytes = b.capacity * sizeof(double);
   g_bytes_live.fetch_sub(static_cast<std::int64_t>(bytes),
                          std::memory_order_relaxed);
-  if (cfg_.pool) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pool_[b.capacity].push_back(b.ptr);
-      bytes_pooled_ += bytes;
-    }
-    g_bytes_pooled.fetch_add(static_cast<std::int64_t>(bytes),
-                             std::memory_order_relaxed);
-    recycle_counter().add(1);
-  } else {
-    aligned_delete(b.ptr);
-    AllocStats::global().on_free(bytes);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pool_[b.capacity].push_back(b.ptr);
+    bytes_pooled_ += bytes;
   }
+  g_bytes_pooled.fetch_add(static_cast<std::int64_t>(bytes),
+                           std::memory_order_relaxed);
+  recycle_counter().add(1);
   publish_gauges();
   b.ptr = nullptr;
   b.capacity = 0;
@@ -153,7 +137,7 @@ void Arena::heap_release(ArenaBlock&& b) {
 }
 
 Arena& Arena::scratch() {
-  static Arena a{ArenaConfig{/*pool=*/true, /*granularity=*/2048}};
+  static Arena a;
   return a;
 }
 

@@ -7,7 +7,7 @@
 // same handful of shapes over and over, so freed blocks are recycled through
 // size-class free lists instead of returned to the heap (Athena++'s
 // fixed-size MeshBlock pools are the exemplar).  Capacities are rounded up
-// to a configurable granularity so near-miss shapes share a size class, and
+// to a fixed granularity so near-miss shapes share a size class, and
 // every block is 64-byte aligned so field arrays are SIMD/cache-line clean.
 //
 // Accounting contract: util::AllocStats records *heap* events only — a pool
@@ -28,17 +28,6 @@
 
 namespace enzo::util {
 
-struct ArenaConfig {
-  /// Recycle released blocks through the free lists.  Off = every acquire
-  /// is a heap allocation and every release a heap free (the pre-arena
-  /// behaviour, kept selectable for the determinism/benchmark comparisons).
-  bool pool = true;
-  /// Capacity quantum in doubles: requested sizes are rounded up to a
-  /// multiple of this, so grids whose shapes differ slightly still hit the
-  /// same size class (deck key BlockGranularity).
-  std::int64_t granularity = 2048;
-};
-
 /// One storage block on loan from an Arena (or from the heap via the
 /// static fallback).  `capacity` is the rounded size in doubles; contents
 /// are unspecified on acquire — owners always overwrite (Buffer3 fills).
@@ -49,7 +38,19 @@ struct ArenaBlock {
 
 class Arena {
  public:
-  explicit Arena(ArenaConfig cfg = {});
+  /// Capacity quantum in doubles: requested sizes are rounded up to a
+  /// multiple of this, so grids whose shapes differ slightly still hit the
+  /// same size class.
+  static constexpr std::size_t kGranularity = 2048;
+
+  /// The size class of a request: `doubles` rounded up to a positive
+  /// multiple of kGranularity.
+  [[nodiscard]] static constexpr std::size_t round_up(std::size_t doubles) {
+    if (doubles == 0) return kGranularity;
+    return ((doubles + kGranularity - 1) / kGranularity) * kGranularity;
+  }
+
+  Arena() = default;
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -59,14 +60,12 @@ class Arena {
   /// (reported to AllocStats).  Contents are unspecified.
   [[nodiscard]] ArenaBlock acquire(std::size_t doubles);
 
-  /// Return a block.  Pooling on: it joins its size-class free list for the
-  /// next regrid.  Pooling off: freed immediately (reported to AllocStats).
+  /// Return a block: it joins its size-class free list for the next regrid.
   void release(ArenaBlock&& b);
 
   /// Free every pooled block back to the heap.
   void trim();
 
-  [[nodiscard]] const ArenaConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t bytes_pooled() const;
 
   // Heap fallback used by buffers not attached to any arena (directly
@@ -81,9 +80,6 @@ class Arena {
   static Arena& scratch();
 
  private:
-  [[nodiscard]] std::size_t round_up(std::size_t doubles) const;
-
-  ArenaConfig cfg_;
   mutable std::mutex mu_;
   // Size-class free lists keyed by rounded capacity.  Lookup/insert only —
   // never iterated — so pool order cannot leak into observable behaviour.

@@ -1,14 +1,16 @@
 // Storage-arena tests: block pooling semantics (size classes, alignment,
 // AllocStats heap-only accounting), Buffer3/particle-vector recycling, the
-// regrid-storm stress contract (§5: steady-state heap allocations per
-// rebuild drop to ~0 with the arena on), the incremental-regrid keep path,
-// and a checkpoint round trip across storage modes.
+// regrid-storm stress contract (§5: steady-state rebuilds make no heap
+// allocations), the incremental-regrid keep path, and a checkpoint round
+// trip between fresh and recycled storage.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -32,13 +34,16 @@ using mesh::Index3;
 // ---- util::Arena ---------------------------------------------------------------
 
 TEST(Arena, RoundsUpToGranularityAndAligns) {
-  util::ArenaConfig cfg;
-  cfg.granularity = 512;
-  util::Arena a(cfg);
+  constexpr std::size_t g = util::Arena::kGranularity;
+  EXPECT_EQ(g, 2048u);
+  EXPECT_EQ(util::Arena::round_up(0), g);
+  EXPECT_EQ(util::Arena::round_up(1), g);
+  EXPECT_EQ(util::Arena::round_up(g), g);
+  EXPECT_EQ(util::Arena::round_up(g + 1), 2 * g);
+  util::Arena a;
   util::ArenaBlock b = a.acquire(10);
   ASSERT_NE(b.ptr, nullptr);
-  EXPECT_GE(b.capacity, 10u);
-  EXPECT_EQ(b.capacity % 512, 0u);
+  EXPECT_EQ(b.capacity, g);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.ptr) % 64, 0u);
   a.release(std::move(b));
   a.trim();
@@ -60,18 +65,6 @@ TEST(Arena, PoolRecyclesBlocksWithoutTouchingTheHeap) {
   EXPECT_EQ(util::AllocStats::global().allocations(), heap0 + 1);
   a.release(std::move(b2));
   a.trim();
-  EXPECT_EQ(a.bytes_pooled(), 0u);
-}
-
-TEST(Arena, PoolOffIsAHeapPassthrough) {
-  util::ArenaConfig cfg;
-  cfg.pool = false;
-  util::Arena a(cfg);
-  const std::uint64_t frees0 = util::AllocStats::global().frees();
-  util::ArenaBlock b = a.acquire(10);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.ptr) % 64, 0u);
-  a.release(std::move(b));
-  EXPECT_EQ(util::AllocStats::global().frees(), frees0 + 1);
   EXPECT_EQ(a.bytes_pooled(), 0u);
 }
 
@@ -122,15 +115,16 @@ TEST(StorageArena, ParticleVectorsRecycleWithCapacityIntact) {
 
 namespace {
 
-/// Flag a fixed global sphere of parent cells (position-based, so the same
-/// boxes come back on every rebuild — the steady state of a long run).
-Hierarchy::FlagFn sphere_flagger() {
-  return [](const Grid& g, std::vector<Index3>& flags) {
+/// Flag a fixed global sphere of parent cells around (cx, 0.5, 0.5)
+/// (position-based, so the same boxes come back on every rebuild — the
+/// steady state of a long run).
+Hierarchy::FlagFn sphere_flagger(double cx = 0.5) {
+  return [cx](const Grid& g, std::vector<Index3>& flags) {
     const Index3 dims = g.spec().level_dims;
     for (std::int64_t k = g.box().lo[2]; k < g.box().hi[2]; ++k)
       for (std::int64_t j = g.box().lo[1]; j < g.box().hi[1]; ++j)
         for (std::int64_t i = g.box().lo[0]; i < g.box().hi[0]; ++i) {
-          const double x = (static_cast<double>(i) + 0.5) / dims[0] - 0.5;
+          const double x = (static_cast<double>(i) + 0.5) / dims[0] - cx;
           const double y = (static_cast<double>(j) + 0.5) / dims[1] - 0.5;
           const double z = (static_cast<double>(k) + 0.5) / dims[2] - 0.5;
           if (x * x + y * y + z * z < 0.2 * 0.2) flags.push_back({i, j, k});
@@ -138,11 +132,10 @@ Hierarchy::FlagFn sphere_flagger() {
   };
 }
 
-Hierarchy storm_hierarchy(const mesh::ArenaOptions& opt) {
+Hierarchy storm_hierarchy() {
   HierarchyParams p;
   p.root_dims = {16, 16, 16};
   p.max_level = 2;
-  p.arena = opt;
   Hierarchy h(p);
   h.build_root();
   for (Grid* g : h.grids(0)) {
@@ -152,16 +145,18 @@ Hierarchy storm_hierarchy(const mesh::ArenaOptions& opt) {
   return h;
 }
 
-/// Heap allocations recorded by AllocStats over `reps` steady-state rebuilds
-/// (pools primed by a few warm-up rebuilds first).
-std::uint64_t heap_allocs_for_rebuilds(const mesh::ArenaOptions& opt,
-                                       int reps) {
-  Hierarchy h = storm_hierarchy(opt);
-  const Hierarchy::FlagFn flag = sphere_flagger();
-  for (int i = 0; i < 3; ++i) h.rebuild(1, flag);
+/// Heap allocations recorded by AllocStats over `reps` steady-state
+/// rebuilds cycling through `flags` (pools primed by a warm-up pass over
+/// the cycle first).
+std::uint64_t heap_allocs_for_rebuilds(
+    const std::vector<Hierarchy::FlagFn>& flags, int reps) {
+  Hierarchy h = storm_hierarchy();
+  for (int i = 0; i < 3 * static_cast<int>(flags.size()); ++i)
+    h.rebuild(1, flags[static_cast<std::size_t>(i) % flags.size()]);
   EXPECT_GE(h.deepest_level(), 1);
   const std::uint64_t a0 = util::AllocStats::global().allocations();
-  for (int i = 0; i < reps; ++i) h.rebuild(1, flag);
+  for (int i = 0; i < reps; ++i)
+    h.rebuild(1, flags[static_cast<std::size_t>(i) % flags.size()]);
   h.check_invariants();
   return util::AllocStats::global().allocations() - a0;
 }
@@ -170,30 +165,18 @@ std::uint64_t heap_allocs_for_rebuilds(const mesh::ArenaOptions& opt,
 
 TEST(RegridStorm, ArenaDropsSteadyStateHeapAllocsTenfold) {
   constexpr int kReps = 8;
-  mesh::ArenaOptions off;
-  off.pool = false;
-  off.incremental = false;
-  const std::uint64_t heap_off = heap_allocs_for_rebuilds(off, kReps);
-  EXPECT_GT(heap_off, 0u);  // every rebuild re-allocates every subgrid
-
-  // Production configuration: pooled blocks + incremental keep.  Identical
-  // flags mean every grid is kept alive, so the storm touches the heap not
-  // at all.
-  const std::uint64_t heap_on =
-      heap_allocs_for_rebuilds(mesh::ArenaOptions{}, kReps);
-  EXPECT_EQ(heap_on / kReps, 0u);
-  EXPECT_GE(heap_off, 10 * std::max<std::uint64_t>(heap_on, 1));
-
-  // Pooling alone (full rebuild each time) must also absorb the storm: new
-  // grids draw recycled blocks from the generation they replace.
-  mesh::ArenaOptions pool_only;
-  pool_only.incremental = false;
-  const std::uint64_t heap_pool = heap_allocs_for_rebuilds(pool_only, kReps);
-  EXPECT_GE(heap_off, 10 * std::max<std::uint64_t>(heap_pool, 1));
+  // Identical flags mean every grid is kept alive, so the storm touches the
+  // heap not at all.
+  EXPECT_EQ(heap_allocs_for_rebuilds({sphere_flagger()}, kReps), 0u);
+  // Flags alternating between two spheres rebuild every moved grid fresh:
+  // the new grids draw recycled blocks from the generation they replace.
+  EXPECT_EQ(heap_allocs_for_rebuilds(
+                {sphere_flagger(0.4), sphere_flagger(0.6)}, kReps),
+            0u);
 }
 
 TEST(RegridStorm, IncrementalRebuildKeepsUnchangedGrids) {
-  Hierarchy h = storm_hierarchy(mesh::ArenaOptions{});
+  Hierarchy h = storm_hierarchy();
   const Hierarchy::FlagFn flag = sphere_flagger();
   // Two rebuilds reach the steady state: the first creates level 2, whose
   // nesting footprint widens the level-1 flags on the second.
@@ -211,40 +194,58 @@ TEST(RegridStorm, IncrementalRebuildKeepsUnchangedGrids) {
   h.check_invariants();
 }
 
-// ---- checkpoint round trip across storage modes --------------------------------
+// ---- checkpoint round trip between fresh and recycled storage ---------------
+
+namespace {
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
 
 TEST(ArenaCheckpoint, RoundTripAcrossStorageModesIsBitwiseStable) {
   const std::string deck_path =
       std::string(ENZO_SOURCE_DIR) + "/decks/cosmology_box.enzo";
-  const std::string ckpt = ::testing::TempDir() + "arena_roundtrip.ckpt";
+  const std::string dir = ::testing::TempDir();
+  const std::string ckpt_run = dir + "arena_roundtrip_run.ckpt";
+  const std::string ckpt_restored = dir + "arena_roundtrip_restored.ckpt";
 
-  // Evolve on arena-backed storage (the default) far enough to refine, then
-  // checkpoint.
+  // Evolve far enough to refine and regrid: by now the per-level pools hand
+  // out recycled blocks holding stale data from earlier generations.
   core::ParameterDeck deck = core::parse_parameter_file(deck_path);
-  core::Simulation sim(deck.config);
-  core::setup_from_deck(sim, deck);
-  for (int s = 0; s < 2; ++s) sim.advance_root_step();
-  const analysis::AuditReport before = sim.run_audit();
-  io::write_checkpoint(sim, ckpt);
+  core::Simulation run(deck.config);
+  core::setup_from_deck(run, deck);
+  for (int s = 0; s < 2; ++s) run.advance_root_step();
+  ASSERT_GE(run.hierarchy().deepest_level(), 1);
+  const analysis::AuditReport before = run.run_audit();
+  io::write_checkpoint(run, ckpt_run);
 
-  // Restore into plain heap storage: the bytes in a checkpoint must not
-  // depend on where the source grids kept them, and vice versa.
+  // Restore into a new Simulation, whose every block is fresh from the heap:
+  // the bytes in a checkpoint must not depend on where the source grids kept
+  // them, so writing the restored state reproduces the file exactly.
   core::ParameterDeck deck2 = core::parse_parameter_file(deck_path);
-  deck2.config.hierarchy.arena.pool = false;
-  deck2.config.hierarchy.arena.incremental = false;
-  core::Simulation heap_sim(deck2.config);
-  io::read_checkpoint(heap_sim, ckpt);
-  const analysis::AuditReport after = heap_sim.run_audit();
+  core::Simulation restored(deck2.config);
+  core::configure_from_deck(restored, deck2);
+  io::read_checkpoint(restored, ckpt_run);
+  const analysis::AuditReport after = restored.run_audit();
   EXPECT_EQ(after.mass_total, before.mass_total);
   EXPECT_EQ(after.energy_total, before.energy_total);
   EXPECT_EQ(after.violations.size(), before.violations.size());
+  io::write_checkpoint(restored, ckpt_restored);
+  EXPECT_TRUE(file_bytes(ckpt_restored) == file_bytes(ckpt_run));
 
-  // And back again into arena-backed storage.
-  core::ParameterDeck deck3 = core::parse_parameter_file(deck_path);
-  core::Simulation arena_sim(deck3.config);
-  io::read_checkpoint(arena_sim, ckpt);
-  const analysis::AuditReport again = arena_sim.run_audit();
-  EXPECT_EQ(again.mass_total, before.mass_total);
-  EXPECT_EQ(again.energy_total, before.energy_total);
-  std::filesystem::remove(ckpt);
+  // Both continue: the original run keeps drawing on its long-dirtied pools,
+  // the restored one starts recycling its own.  The states stay identical.
+  for (int s = 0; s < 2; ++s) {
+    run.advance_root_step();
+    restored.advance_root_step();
+  }
+  io::write_checkpoint(run, ckpt_run);
+  io::write_checkpoint(restored, ckpt_restored);
+  EXPECT_TRUE(file_bytes(ckpt_restored) == file_bytes(ckpt_run));
+  EXPECT_EQ(restored.run_audit().energy_total, run.run_audit().energy_total);
+  std::filesystem::remove(ckpt_run);
+  std::filesystem::remove(ckpt_restored);
 }

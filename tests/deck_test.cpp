@@ -174,36 +174,20 @@ StopSteps              = 5
   EXPECT_EQ(d2.stop_steps, d.stop_steps);
 }
 
-TEST(Deck, ArenaKeysMapThroughAndRoundTrip) {
-  const auto d = parse(R"(
-ArenaMode        = 0
-BlockGranularity = 512
-UseOverlapTopology = 0
-)");
-  EXPECT_FALSE(d.config.hierarchy.arena.pool);
-  EXPECT_FALSE(d.config.hierarchy.arena.incremental);
-  EXPECT_EQ(d.config.hierarchy.arena.granularity, 512);
-  EXPECT_FALSE(d.config.hierarchy.use_overlap_topology);
-
-  // Defaults: arena on, overlap topology on — and those defaults stay
-  // implicit in a rendered deck.
-  const auto def = parse("Gamma = 1.4\n");
-  EXPECT_TRUE(def.config.hierarchy.arena.pool);
-  EXPECT_TRUE(def.config.hierarchy.arena.incremental);
-  EXPECT_TRUE(def.config.hierarchy.use_overlap_topology);
-  const std::string def_text = core::render_deck(def);
-  EXPECT_EQ(def_text.find("ArenaMode"), std::string::npos);
-  EXPECT_EQ(def_text.find("UseOverlapTopology"), std::string::npos);
-
-  // Non-default settings survive a render → parse round trip (restart path).
-  std::istringstream in(core::render_deck(d));
-  const auto d2 = core::parse_parameter_deck(in);
-  EXPECT_FALSE(d2.config.hierarchy.arena.pool);
-  EXPECT_FALSE(d2.config.hierarchy.arena.incremental);
-  EXPECT_EQ(d2.config.hierarchy.arena.granularity, 512);
-  EXPECT_FALSE(d2.config.hierarchy.use_overlap_topology);
-
-  EXPECT_THROW(parse("BlockGranularity = 0\n"), enzo::Error);
+TEST(Deck, RemovedStorageAndTopologyKeysAreUnknown) {
+  // Pooled storage, incremental regrid and the overlap-topology cache are
+  // the only paths, so the keys that once switched them are unknown.
+  for (const std::string key :
+       {"ArenaMode", "BlockGranularity", "UseOverlapTopology"}) {
+    try {
+      parse("Gamma = 1.4\n" + key + " = 1\n");
+      ADD_FAILURE() << key << " should be rejected";
+    } catch (const enzo::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown parameter '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Deck, UnknownProblemTypeListsRegisteredNames) {

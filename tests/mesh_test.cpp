@@ -30,7 +30,10 @@
 #include "util/flops.hpp"
 #include "util/rng.hpp"
 
+#include "support/oracles.hpp"
+
 using namespace enzo::mesh;
+namespace oracle = enzo::oracle;
 namespace ext = enzo::ext;
 
 namespace {
@@ -868,33 +871,8 @@ TEST(Topology, SiblingLinksMatchAllPairsReference) {
     for (int l = 0; l <= h.deepest_level(); ++l) {
       const auto lv = h.grids(l);
       ASSERT_EQ(topo.level_grids(l).size(), lv.size());
-      const Index3 dims = h.level_dims(l);
-      const auto shifts = periodic_image_shifts(dims, c.periodic);
       for (std::size_t i = 0; i < lv.size(); ++i) {
-        const Grid* g = lv[i];
-        IndexBox ghost = g->box(), wide = g->box();
-        for (int d = 0; d < 3; ++d) {
-          const std::int64_t ng = g->ng(d);
-          const std::int64_t w =
-              std::max<std::int64_t>(ng, dims[d] > 1 ? 1 : 0);
-          ghost.lo[d] -= ng;
-          ghost.hi[d] += ng;
-          wide.lo[d] -= w;
-          wide.hi[d] += w;
-        }
-        // Fresh all-pairs reference enumeration, in the canonical order.
-        std::vector<SiblingLink> ref;
-        for (std::size_t j = 0; j < lv.size(); ++j)
-          for (std::int64_t kz : shifts[2])
-            for (std::int64_t ky : shifts[1])
-              for (std::int64_t kx : shifts[0]) {
-                if (j == i && kx == 0 && ky == 0 && kz == 0) continue;
-                const IndexBox sb = lv[j]->box().shifted({kx, ky, kz});
-                if (wide.intersect(sb).empty()) continue;
-                ref.push_back({static_cast<std::uint32_t>(j),
-                               {kx, ky, kz},
-                               ghost.intersect(sb)});
-              }
+        const std::vector<SiblingLink> ref = oracle::sibling_links(h, l, i);
         const auto range = topo.siblings(l, i);
         ASSERT_EQ(range.size(), ref.size())
             << "seed " << c.seed << " level " << l << " grid " << i;
@@ -907,6 +885,7 @@ TEST(Topology, SiblingLinksMatchAllPairsReference) {
         }
       }
     }
+    EXPECT_EQ(oracle::topology_mismatch(h), "") << "seed " << c.seed;
   }
 }
 
@@ -914,17 +893,7 @@ TEST(Topology, ChildrenByParentMatchesFindIfGrouping) {
   for (std::uint64_t seed : {7u, 8u, 9u}) {
     Hierarchy h = make_random_hierarchy(seed, {16, 16, 16}, true, 2);
     const OverlapTopology& topo = h.topology();
-    const auto children = h.grids(1);
-    std::vector<std::pair<const Grid*, std::vector<const Grid*>>> ref;
-    for (const Grid* c : children) {
-      auto it = std::find_if(ref.begin(), ref.end(), [&](const auto& gp) {
-        return gp.first == c->parent();
-      });
-      if (it == ref.end())
-        ref.push_back({c->parent(), {c}});
-      else
-        it->second.push_back(c);
-    }
+    const auto ref = oracle::children_by_parent(h, 1);
     const auto& groups = topo.children_by_parent(1);
     ASSERT_EQ(groups.size(), ref.size());
     for (std::size_t n = 0; n < groups.size(); ++n) {
@@ -944,34 +913,20 @@ TEST(Topology, PointQueriesMatchLinearScans) {
     enzo::util::Rng rng(seed * 100 + 1);
     // grid_at vs first-containing linear scan on integer indices.
     for (int l = 0; l <= h.deepest_level(); ++l) {
-      const auto lv = h.grids(l);
       const Index3 dims = h.level_dims(l);
       for (int trial = 0; trial < 200; ++trial) {
         Index3 p;
         for (int d = 0; d < 3; ++d)
           p[d] = static_cast<std::int64_t>(
               rng.uniform(0, static_cast<double>(dims[d])));
-        const Grid* expect = nullptr;
-        for (const Grid* g : lv)
-          if (g->box().contains(p)) {
-            expect = g;
-            break;
-          }
-        EXPECT_EQ(topo.grid_at(l, p), expect);
+        EXPECT_EQ(topo.grid_at(l, p), oracle::grid_at(h, l, p));
       }
     }
     // finest_owner vs deepest-first scan on positions.
     for (int trial = 0; trial < 200; ++trial) {
       ext::PosVec x;
       for (int d = 0; d < 3; ++d) x[d] = ext::pos_t(rng.uniform());
-      const Grid* expect = nullptr;
-      for (int l = h.deepest_level(); l >= 0 && !expect; --l)
-        for (Grid* g : h.grids(l))
-          if (g->contains_position(x)) {
-            expect = g;
-            break;
-          }
-      EXPECT_EQ(topo.finest_owner(x), expect);
+      EXPECT_EQ(topo.finest_owner(x), oracle::finest_owner(h, x));
     }
   }
 }
@@ -1002,30 +957,43 @@ TEST(Topology, GenerationInvalidationAndLazyRebuild) {
 }
 
 TEST(Topology, BoundaryFillMatchesAllPairsBitwise) {
-  // Two identically constructed hierarchies, one filled through the cached
-  // links and one through the all-pairs reference path: every field byte
-  // must match (the PR-3 determinism contract).
-  auto build_and_fill = [](bool cached) {
+  // Two identically constructed hierarchies, one filled by production (the
+  // cached links) and one by the same kernels driven by the all-pairs
+  // sibling enumeration: interpolate every ghost from the parent, then copy
+  // every overlap in canonical order.  Every field byte must match (the
+  // determinism contract).
+  auto build = [] {
     Hierarchy h = make_random_hierarchy(42, {16, 16, 16}, true, 2);
-    h.set_use_topology(cached);
     enzo::util::Rng rng(77);
     for (int l = 0; l <= h.deepest_level(); ++l)
       for (Grid* g : h.grids(l))
         for (Field f : g->field_list())
           for (double& v : g->field(f)) v = rng.uniform(0.5, 2.0);
-    for (int l = 0; l <= h.deepest_level(); ++l) {
-      for (Grid* g : h.grids(l)) g->store_old_fields();
-      set_boundary_values(h, l);
-    }
-    std::vector<double> bytes;
+    return h;
+  };
+  auto bytes = [](const Hierarchy& h) {
+    std::vector<double> out;
     for (int l = 0; l <= h.deepest_level(); ++l)
       for (const Grid* g : h.grids(l))
         for (Field f : g->field_list())
-          for (const double v : g->field(f)) bytes.push_back(v);
-    return bytes;
+          for (const double v : g->field(f)) out.push_back(v);
+    return out;
   };
-  const auto with_cache = build_and_fill(true);
-  const auto reference = build_and_fill(false);
+  Hierarchy prod = build();
+  Hierarchy ref = build();
+  for (int l = 0; l <= prod.deepest_level(); ++l) {
+    for (Grid* g : prod.grids(l)) g->store_old_fields();
+    set_boundary_values(prod, l);
+    const auto lv = ref.grids(l);
+    for (Grid* g : lv) g->store_old_fields();
+    for (std::size_t i = 0; i < lv.size(); ++i) {
+      if (l > 0) fill_ghosts_from_parent(*lv[i], *lv[i]->parent());
+      for (const SiblingLink& ln : oracle::sibling_links(ref, l, i))
+        lv[i]->copy_from_sibling(*lv[ln.src], ln.shift);
+    }
+  }
+  const auto with_cache = bytes(prod);
+  const auto reference = bytes(ref);
   ASSERT_EQ(with_cache.size(), reference.size());
   for (std::size_t n = 0; n < reference.size(); ++n) {
     ASSERT_EQ(with_cache[n], reference[n]) << "field byte " << n << " differs";
@@ -1299,21 +1267,17 @@ TEST(BoundaryOracle, SkipCoveredFillMatchesInterpolateAllThenCopy) {
                         {3, {16, 16, 16}, true, 2},  {4, {16, 16, 16}, false, 2},
                         {5, {16, 16, 32}, true, 2},  {6, {16, 16, 32}, false, 1}};
   for (const Case& c : cases) {
-    for (const bool cached : {true, false}) {
-      Hierarchy oracle = make_nested_hierarchy(c.seed, c.dims, c.periodic,
-                                               c.tiles, 12);
-      Hierarchy prod = make_nested_hierarchy(c.seed, c.dims, c.periodic,
-                                             c.tiles, 12);
-      ASSERT_GE(prod.num_grids(1), 2u) << "seed " << c.seed;
-      prod.set_use_topology(cached);
-      ASSERT_EQ(field_bytes(oracle), field_bytes(prod));
-      for (int l = 0; l <= 1; ++l) {
-        oracle_set_boundary_values(oracle, l);
-        set_boundary_values(prod, l);
-      }
-      EXPECT_TRUE(field_bytes(oracle) == field_bytes(prod))
-          << "seed " << c.seed << (cached ? " cached" : " all-pairs");
+    Hierarchy ref = make_nested_hierarchy(c.seed, c.dims, c.periodic,
+                                          c.tiles, 12);
+    Hierarchy prod = make_nested_hierarchy(c.seed, c.dims, c.periodic,
+                                           c.tiles, 12);
+    ASSERT_GE(prod.num_grids(1), 2u) << "seed " << c.seed;
+    ASSERT_EQ(field_bytes(ref), field_bytes(prod));
+    for (int l = 0; l <= 1; ++l) {
+      oracle_set_boundary_values(ref, l);
+      set_boundary_values(prod, l);
     }
+    EXPECT_TRUE(field_bytes(ref) == field_bytes(prod)) << "seed " << c.seed;
   }
 }
 

@@ -1,7 +1,7 @@
 // Telemetry subsystem tests: hierarchical trace accounting, metrics
 // registry instruments, JSONL diagnostics schema round-trip, Chrome trace
 // export validity, structured logging, and the thread-safety guarantees the
-// instrumentation layer makes (ComponentTimers shim, AllocStats peak).
+// instrumentation layer makes (trace recorder accumulation, AllocStats peak).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "perf/trace.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/flops.hpp"
-#include "util/timer.hpp"
 
 using namespace enzo;
 
@@ -104,6 +104,10 @@ TEST(Trace, ComponentFractionsSumToOne) {
   // Rows are sorted descending by time.
   for (std::size_t i = 1; i < table.size(); ++i)
     EXPECT_GE(table[i - 1].seconds, table[i].seconds);
+  // The paper-style report names each component.
+  const std::string report = rec.component_report();
+  EXPECT_NE(report.find("hydrodynamics"), std::string::npos);
+  EXPECT_NE(report.find("hierarchy rebuild"), std::string::npos);
 }
 
 TEST(Trace, ComponentAndLevelInheritance) {
@@ -444,20 +448,25 @@ TEST(Log, LevelNamesParse) {
   EXPECT_STREQ(perf::log_level_name(perf::LogLevel::kWarn), "warn");
 }
 
-// ---- thread-safety of the legacy shims -------------------------------------
+// ---- thread safety ----------------------------------------------------------
 
+// Direct accumulation into one recorder from many threads loses no call and
+// no time (TraceScope exits on executor lanes take this path).
 TEST(PerfThreading, ComponentTimersConcurrentAdd) {
-  util::ComponentTimers timers;
+  perf::TraceRecorder rec;
   constexpr int kThreads = 8, kIters = 1000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&timers] {
+    threads.emplace_back([&rec] {
       for (int i = 0; i < kIters; ++i)
-        timers.add(util::ComponentTimers::kHydro, 1e-6);
+        rec.accumulate("hydro_step", perf::component::kHydro, -1, 1e-6, 1e-6);
     });
   for (auto& th : threads) th.join();
-  EXPECT_NEAR(timers.seconds(util::ComponentTimers::kHydro),
+  EXPECT_NEAR(rec.component_seconds(perf::component::kHydro),
               kThreads * kIters * 1e-6, 1e-9);
+  const auto nodes = rec.nodes();
+  ASSERT_EQ(nodes.size(), 1u);
+  EXPECT_EQ(nodes[0].calls, static_cast<std::uint64_t>(kThreads * kIters));
 }
 
 TEST(PerfThreading, AllocStatsPeakNeverBelowConcurrentLive) {

@@ -16,8 +16,11 @@
 # build-werror tree: `io` (CI_STAGES="io") covers the checkpoint suite, and
 # `topology` (CI_STAGES="topology") covers the `mesh` label — the overlap-
 # topology cache equivalence/invalidation tests and the rest of mesh_test —
-# and `regrid` (CI_STAGES="regrid") the storage-arena / incremental-regrid
-# tests plus the regrid-storm bench, and `kernels` (CI_STAGES="kernels") the
+# plus the per-generation check of the cache against the all-pairs oracles
+# of tests/support/oracles.hpp, and `regrid` (CI_STAGES="regrid") the
+# storage-arena / incremental-regrid tests, the per-generation check of the
+# incremental regrid against the full-rebuild oracle, and the regrid-storm
+# bench, and `kernels` (CI_STAGES="kernels") the
 # SoA kernel gate — check_vec (the kernel TUs must autovectorize), the
 # micro-kernel bench (BENCH_micro_kernels.json), and check_kernels (>40%
 # cells/sec regression vs bench/micro_kernels_baseline.json fails), and
@@ -87,18 +90,23 @@ for stage in $stages; do
     topology)
       banner "stage: overlap-topology suite"
       # Targeted re-run of the `mesh` label (topology cache equivalence,
-      # invalidation, and the rest of mesh_test) against build-werror.
+      # invalidation, and the rest of mesh_test) plus the per-generation
+      # all-pairs oracle check on two deck runs, against build-werror.
       if [ ! -d build-werror ]; then
         cmake --preset werror && cmake --build --preset werror -j "$jobs" \
           || { failed+=(topology); continue; }
       fi
       ctest --test-dir build-werror -L mesh -j "$jobs" --output-on-failure \
         || failed+=(topology)
+      ctest --test-dir build-werror \
+        -R '^ExecDeterminismTest\.TopologyCacheIsByteIdenticalToAllPairs$' \
+        --output-on-failure || failed+=(topology)
       ;;
     regrid)
       banner "stage: regrid arena suite"
-      # Targeted re-run of the storage-arena / incremental-regrid tests plus
-      # the regrid-storm bench (BENCH_regrid.json) against build-werror.
+      # Targeted re-run of the storage-arena / incremental-regrid tests (the
+      # per-generation full-rebuild oracle check included) plus the
+      # regrid-storm bench (BENCH_regrid.json) against build-werror.
       if [ ! -d build-werror ]; then
         cmake --preset werror && cmake --build --preset werror -j "$jobs" \
           || { failed+=(regrid); continue; }
@@ -106,7 +114,7 @@ for stage in $stages; do
       cmake --build --preset werror -j "$jobs" --target regrid_arena \
         || { failed+=(regrid); continue; }
       ctest --test-dir build-werror \
-        -R '^(Arena|Buffer3|StorageArena|RegridStorm|ArenaCheckpoint)' \
+        -R '^(Arena|Buffer3|StorageArena|RegridStorm|ArenaCheckpoint|ExecDeterminismTest\.ArenaAndIncrementalRegrid)' \
         -j "$jobs" --output-on-failure || failed+=(regrid)
       build-werror/bench/regrid_arena || failed+=(regrid)
       ;;

@@ -478,11 +478,12 @@ void rule_hotpath_transcendental(const SourceFile& f,
 // ---------------------------------------------------------------------------
 // Rule: topology-allpairs
 // ---------------------------------------------------------------------------
-// Overlap queries go through mesh::OverlapTopology (PR 5): an inner scan of
-// a level's grid list nested inside another grid sweep is the O(grids²)
-// pattern the cache replaced.  The reference implementations live in
-// src/mesh/topology.cpp / hierarchy.cpp and behind per-hierarchy
-// Hierarchy::set_use_topology(false) allow-directives.
+// Overlap queries go through mesh::OverlapTopology: an inner scan of a
+// level's grid list nested inside another grid sweep is the O(grids²)
+// pattern the cache replaced.  The cache builder (src/mesh/topology.cpp)
+// and the rebuild that feeds it (src/mesh/hierarchy.cpp) are exempt; the
+// all-pairs reference scans are test-only oracles
+// (tests/support/oracles.hpp), so no src/ file needs an allow-directive.
 
 constexpr const char* kRuleAllPairs = "topology-allpairs";
 
