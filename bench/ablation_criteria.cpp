@@ -28,9 +28,9 @@ struct Result {
 
 Result run_once(double jeans) {
   auto run = bench::collapse_run_config(16, 2, /*chemistry=*/true);
-  run.cfg.refinement.jeans_number = jeans;
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  run.config.refinement.jeans_number = jeans;
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   const double n_stop = 3e6;
   for (int s = 0; s < 40; ++s) {
     sim.advance_root_step();

@@ -27,9 +27,9 @@ struct Result {
 
 Result run_collapse(hydro::Solver solver, const char* name) {
   auto run = bench::collapse_run_config(16, 3, /*chemistry=*/false);
-  run.cfg.hydro.solver = solver;
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  run.config.hydro.solver = solver;
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   const double n_stop = 1e7;
   for (int s = 0; s < 50; ++s) {
     sim.advance_root_step();
@@ -84,7 +84,9 @@ int main() {
     cfg.hydro.gamma = 1.4;
     cfg.hydro.solver = solver;
     core::Simulation sim(cfg);
-    sim.initialize(core::sod_tube_setup());
+    core::ParameterDeck sod;
+    sod.problem = "SodTube";
+    core::setup_from_deck(sim, sod);
     sim.evolve_until(0.15, 10000);
     mesh::Grid* g = sim.hierarchy().grids(0)[0];
     // Exact at t=0.15: shock plateau 0.2656 on x∈(0.685,0.76); contact

@@ -3,46 +3,31 @@
 // collapse run (DESIGN.md substitution table) with configurable depth.
 
 #include "analysis/analysis.hpp"
-#include "core/setup.hpp"
+#include "core/parameter_file.hpp"
 #include "core/simulation.hpp"
 #include "nbody/nbody.hpp"
-#include "util/constants.hpp"
 
 namespace enzo::bench {
 
-struct CollapseRun {
-  core::SimulationConfig cfg;
-  core::CollapseSetupOptions opt;
-};
-
-inline CollapseRun collapse_run_config(int root_n, int max_level,
-                                       bool chemistry,
-                                       bool with_dark_matter = false) {
-  CollapseRun r;
-  r.cfg.hierarchy.root_dims = {root_n, root_n, root_n};
-  r.cfg.hierarchy.max_level = max_level;
-  if (chemistry) r.cfg.hierarchy.fields = mesh::chemistry_field_list();
-  r.cfg.refinement.baryon_mass_threshold =
+/// decks/first_star.enzo (the CollapseCloud cloud of the §4 collapse) at a
+/// bench's root size and depth.  Benches adjust the returned deck's config
+/// and run `core::setup_from_deck(sim, run)` (or extend
+/// `core::deck_problem_setup(run)` with extra hooks).
+inline core::ParameterDeck collapse_run_config(int root_n, int max_level,
+                                               bool chemistry,
+                                               bool with_dark_matter = false) {
+  core::ParameterDeck r =
+      core::parse_parameter_file(ENZO_SOURCE_DIR "/decks/first_star.enzo");
+  auto& cfg = r.config;
+  cfg.hierarchy.root_dims = {root_n, root_n, root_n};
+  cfg.hierarchy.max_level = max_level;
+  cfg.hierarchy.fields = chemistry ? mesh::chemistry_field_list()
+                                   : core::SimulationConfig{}.hierarchy.fields;
+  cfg.refinement.baryon_mass_threshold =
       4.0 / (static_cast<double>(root_n) * root_n * root_n);
-  r.cfg.refinement.jeans_number = 4.0;
-  r.cfg.enable_chemistry = chemistry;
-  r.cfg.enable_particles = with_dark_matter;
-
-  r.opt.chemistry = chemistry;
-  r.opt.box_proper_cm = 4.0 * constants::kParsec;
-  r.opt.mean_density_cgs = 1e-19;  // background n ≈ 6×10⁴ cm⁻³
-  r.opt.overdensity = 10.0;
-  r.opt.cloud_radius = 0.25;
-  r.opt.temperature = 300.0;
-  r.opt.h2_fraction = 5e-4;
+  cfg.enable_chemistry = chemistry;
+  cfg.enable_particles = with_dark_matter;
   return r;
-}
-
-/// The CollapseRun's options as a composable ProblemSetup: benches run
-/// `sim.initialize(collapse_setup(run))`, appending extra hooks first when
-/// a variant needs them.
-inline core::ProblemSetup collapse_setup(const CollapseRun& r) {
-  return core::collapse_cloud_setup(r.opt);
 }
 
 /// Add a coarse dark-matter halo (static uniform-lattice particles carrying

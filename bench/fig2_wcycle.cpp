@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/setup.hpp"
+#include "core/parameter_file.hpp"
 #include "core/simulation.hpp"
 
 using namespace enzo;
@@ -24,7 +24,7 @@ int main() {
   core::Simulation sim(cfg);
   sim.add_static_region(1, {{8, 8, 8}, {24, 24, 24}});
   sim.add_static_region(2, {{24, 24, 24}, {40, 40, 40}});
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, core::ParameterDeck{});  // Uniform problem
 
   sim.advance_root_step();
   const auto& tr = sim.trace();

@@ -37,8 +37,8 @@ void print_frame(const analysis::Slice& s, double half_pc, int frame) {
 
 int main() {
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true);
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
 
   // Evolve until the core is deep into the runaway (central n ≥ 10⁸ cm⁻³).
   const double n_stop = 1e8;

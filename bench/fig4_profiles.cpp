@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
   }
 
   auto run = bench::collapse_run_config(16, max_level, /*chemistry=*/true);
-  run.cfg.refinement.jeans_number = jeans;
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  run.config.refinement.jeans_number = jeans;
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
 
   const double box_pc = sim.config().units.length_cm / constants::kParsec;
   const double mass_msun =

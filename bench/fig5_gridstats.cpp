@@ -21,8 +21,8 @@ using namespace enzo;
 int main() {
   util::AllocStats::global().reset();
   auto run = bench::collapse_run_config(16, 5, /*chemistry=*/true);
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   const double t_kyr = sim.config().units.time_s / constants::kYear / 1e3;
 
   struct Snapshot {

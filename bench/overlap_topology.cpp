@@ -115,11 +115,11 @@ std::string consumer_json(const char* name, double all_pairs, double cached) {
 int main() {
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
-  core::Simulation sim(run.cfg);
+  core::Simulation sim(run.config);
   // Tile the root 4³ ways: the all-pairs sibling scan is O(grids²·shifts)
   // per level, and a single-grid root would hide exactly the cost the
   // cached neighbor lists remove.
-  sim.initialize(bench::collapse_setup(run).root_tiles(4));
+  sim.initialize(core::deck_problem_setup(run).root_tiles(4));
   bench::add_dark_matter(sim, 16, /*total_mass=*/0.1);
   for (int s = 0; s < 6; ++s) sim.advance_root_step();
 

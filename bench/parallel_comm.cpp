@@ -90,10 +90,10 @@ int main() {
   auto run = bench::collapse_run_config(32, 3, /*chemistry=*/false);
   // Tighter clustering efficiency → many smaller grids, the paper's regime
   // ("grids are generally small (~20³) and numerous").
-  run.cfg.hierarchy.cluster.min_efficiency = 0.85;
-  run.cfg.refinement.baryon_mass_threshold *= 0.4;
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  run.config.hierarchy.cluster.min_efficiency = 0.85;
+  run.config.refinement.baryon_mass_threshold *= 0.4;
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   sim.advance_root_step();
   std::vector<double> weights;
   double steps = 1.0;

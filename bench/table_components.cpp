@@ -40,11 +40,11 @@ namespace {
 double timed_collapse(int threads) {
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
-  run.cfg.exec.threads = threads;
-  run.cfg.exec.backend =
+  run.config.exec.threads = threads;
+  run.config.exec.backend =
       threads == 1 ? exec::Backend::kSerial : exec::Backend::kThreadPool;
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   bench::add_dark_matter(sim, 16, /*total_mass=*/0.1);
   util::Stopwatch wall;
   for (int s = 0; s < 8; ++s) sim.advance_root_step();
@@ -59,8 +59,8 @@ int main() {
 
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   bench::add_dark_matter(sim, 16, /*total_mass=*/0.1);
 
   for (int s = 0; s < 8; ++s) sim.advance_root_step();

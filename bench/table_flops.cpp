@@ -8,7 +8,7 @@
 // delivered in the same 1e6 s wall clock → ~1e44 flop/s.
 //
 // We do the analogous accounting: analytic per-kernel operation counts read
-// back through the metrics registry's "flops" source (fed by the
+// back through the metrics registry's flops.* counters (fed by the
 // instrumented solvers — the "future project" of §5), wall-clock for the
 // same segment, the identical virtual-rate arithmetic for our scaled run,
 // and a machine-readable BENCH_table_flops.json.
@@ -27,12 +27,10 @@
 using namespace enzo;
 
 int main() {
-  util::FlopCounter::global().reset();
-
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
-  core::Simulation sim(run.cfg);
-  sim.initialize(bench::collapse_setup(run));
+  core::Simulation sim(run.config);
+  core::setup_from_deck(sim, run);
   bench::add_dark_matter(sim, 16, 0.1);
 
   util::Stopwatch wall;
@@ -40,9 +38,9 @@ int main() {
   for (; root_steps < 8; ++root_steps) sim.advance_root_step();
   const double seconds = wall.seconds();
 
-  // Read the per-component counts back through the registry snapshot — the
-  // FlopCounter registers itself as the "flops" source, so this exercises
-  // the same path every registry consumer uses.
+  // Read the per-component counts back through the registry snapshot (the
+  // solvers' flops.<component> counters plus flops.total), the same path
+  // every registry consumer uses.
   std::vector<std::pair<std::string, double>> rows;
   double total = 0.0;
   for (const perf::Registry::Sample& s : perf::Registry::global().snapshot()) {
@@ -86,9 +84,9 @@ int main() {
   {
     // Our scaled run: SDR = root_n × 2^max_level; the equivalent static run
     // needs SDR³ cells and SDR times more (finest) steps than root steps.
-    const double sdr = 16.0 * std::pow(2.0, run.cfg.hierarchy.max_level);
+    const double sdr = 16.0 * std::pow(2.0, run.config.hierarchy.max_level);
     const double cells = std::pow(sdr, 3);
-    const double fine_steps = root_steps * std::pow(2.0, run.cfg.hierarchy.max_level);
+    const double fine_steps = root_steps * std::pow(2.0, run.config.hierarchy.max_level);
     // Same per-cell-step cost basis as the instrumented hydro (3 sweeps) +
     // the other solvers, so virtual vs actual compare like for like.
     const double per_cell = 3.0 * 220.0 + 400.0;

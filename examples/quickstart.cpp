@@ -1,41 +1,48 @@
-// Quickstart: the smallest complete enzo-mini program.
+// Quickstart: the smallest complete enzo-mini program, and the API behind
+// run_deck.
 //
-// Sets up a self-gravitating overdense cloud in a periodic box, lets the
-// adaptive mesh refine where the Jeans criterion demands it, advances a few
-// coarse-grid timesteps, and prints what the hierarchy did — the essential
-// workflow every larger example follows.
+// Describes a self-gravitating overdense cloud in a periodic box as a
+// parameter deck, lets the adaptive mesh refine where the Jeans criterion
+// demands it, advances a few coarse-grid timesteps, and prints what the
+// hierarchy did: deck text → Simulation(deck.config) → setup_from_deck →
+// advance.
 //
 //   $ ./quickstart
 
 #include <cstdio>
+#include <sstream>
 
 #include "analysis/analysis.hpp"
-#include "core/setup.hpp"
+#include "core/parameter_file.hpp"
 #include "core/simulation.hpp"
-#include "util/constants.hpp"
 
 int main() {
   using namespace enzo;
 
-  // 1. Configure: a 16³ root grid, up to 2 refined levels, refining on gas
-  //    mass and on the Jeans-length criterion (§3.2.3).
-  core::SimulationConfig cfg;
-  cfg.hierarchy.root_dims = {16, 16, 16};
-  cfg.hierarchy.max_level = 2;
-  cfg.refinement.baryon_mass_threshold = 4.0 / (16.0 * 16 * 16);
-  cfg.refinement.jeans_number = 4.0;
+  // 1. Describe the run: a 16³ root grid, up to 2 refined levels, refining
+  //    on gas mass and on the Jeans-length criterion (§3.2.3); the problem
+  //    is a 10× overdense cloud in a 4 pc box (pure hydro + gravity here;
+  //    decks/first_star.enzo adds the chemistry).  Any decks/*.enzo file
+  //    parses the same way (core::parse_parameter_file).
+  std::istringstream text(R"(
+ProblemType            = CollapseCloud
+TopGridDimensions      = 16 16 16
+MaximumRefinementLevel = 2
+RefineByBaryonMass     = 0.0009765625
+RefineByJeansLength    = 4
+GravityEnabled         = 1
+BoxSizeParsec          = 4.0
+BackgroundDensityCGS   = 1e-19
+CloudOverdensity       = 10.0
+CloudRadius            = 0.25
+InitialTemperature     = 100
+)");
+  const core::ParameterDeck deck = core::parse_parameter_deck(text);
 
-  // 2. Build the problem: a 10× overdense primordial cloud, 4 pc box
-  //    (pure hydro+gravity here; see first_star_collapse for chemistry).
-  core::Simulation sim(cfg);
-  core::CollapseSetupOptions opt;
-  opt.chemistry = false;
-  opt.box_proper_cm = 4.0 * constants::kParsec;
-  opt.mean_density_cgs = 1e-19;
-  opt.overdensity = 10.0;
-  opt.cloud_radius = 0.25;
-  opt.temperature = 100.0;
-  sim.initialize(core::collapse_cloud_setup(opt));
+  // 2. Build the simulation from the deck's config, then let the problem
+  //    registry initialize it.
+  core::Simulation sim(deck.config);
+  core::setup_from_deck(sim, deck);
 
   std::printf("initial hierarchy: %d levels, %zu grids, %lld cells\n",
               sim.hierarchy().deepest_level() + 1,

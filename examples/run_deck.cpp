@@ -7,6 +7,10 @@
 //
 //   $ ./run_deck --help
 //
+// A problem with an exact solution (its registry entry has an L1 callback:
+// SodTube, SedovBlast, ZeldovichPancake, ...) ends its run with the line
+// `L1(density) vs exact <problem>: <value>`.
+//
 // Exit codes: 0 success; 1 a deck, restart or output file could not be
 // used (the message says which); 2 a command-line mistake (unknown option,
 // bad --threads/--executor value) or AMR invariant violations under
@@ -54,6 +58,7 @@
 #include "io/checkpoint_writer.hpp"
 #include "perf/diagnostics.hpp"
 #include "perf/trace.hpp"
+#include "problems/registry.hpp"
 #include "util/timer.hpp"
 
 using namespace enzo;
@@ -243,6 +248,11 @@ int run(int argc, char** argv) {
                   static_cast<long>(deck.checkpoint_keep));
     }
     std::printf("done in %.1f s wall\n", wall.seconds());
+    const problems::ProblemSpec& spec =
+        problems::Registry::global().at(deck.problem);
+    if (spec.l1_density_error)
+      std::printf("L1(density) vs exact %s: %.6e\n", deck.problem.c_str(),
+                  spec.l1_density_error(sim, deck));
     if (deck.config.audit_invariants) {
       std::printf("audit: %ld run(s), %llu violation(s); last: %s\n",
                   sim.audits_run(),

@@ -413,9 +413,10 @@ void solve_chemistry_step(Grid& g, double dt, const ChemistryParams& params,
       static_cast<std::uint64_t>(subcycles.load(std::memory_order_relaxed));
   subcycle_counter.add(total_subcycles);
   // The measured subcycle count replaces the old fixed ×10 estimate.
-  util::FlopCounter::global().add(
-      "chemistry",
-      util::flop_cost::kChemistryPerCellPerSubcycle * total_subcycles);
+  static perf::Counter& flops =
+      perf::Registry::global().counter("flops.chemistry");
+  util::add_flops(flops, util::flop_cost::kChemistryPerCellPerSubcycle *
+                             total_subcycles);
 }
 
 double cell_mu(const Grid& g, int si, int sj, int sk) {

@@ -119,12 +119,7 @@ struct Parser {
     if (key == "OmegaLambdaNow") { cfg.frw.omega_lambda = num(value); return; }
     if (key == "Sigma8") { cfg.frw.sigma8 = num(value); return; }
     if (key == "InitialRedshift") { cfg.initial_redshift = num(value); return; }
-    if (key == "ComovingBoxSizeMpc") {
-      // Shared by the two comoving problems (cosmology box and pancake).
-      deck.cosmology.box_comoving_cm = num(value) * constants::kMpc;
-      deck.pancake.box_comoving_cm = deck.cosmology.box_comoving_cm;
-      return;
-    }
+    if (key == "ComovingBoxSizeMpc") { deck.comoving_box_mpc = num(value); return; }
     if (key == "RandomSeed") { deck.cosmology.seed = static_cast<std::uint64_t>(num(value)); return; }
     if (key == "NestedStaticLevels") { deck.cosmology.nested_static_levels = integer(value); return; }
     if (key == "ParticlesPerAxis") { deck.cosmology.particles_per_axis = integer(value); return; }
@@ -136,21 +131,9 @@ struct Parser {
     if (key == "CloudRadius") { deck.collapse.cloud_radius = num(value); return; }
     if (key == "CloudOverdensity") { deck.collapse.overdensity = num(value); return; }
     if (key == "BackgroundDensityCGS") { deck.collapse.mean_density_cgs = num(value); return; }
-    if (key == "InitialTemperature") {
-      deck.collapse.temperature = num(value);
-      deck.pancake.initial_temperature = num(value);
-      return;
-    }
-    if (key == "InitialIonizationFraction") {
-      deck.collapse.ionization = num(value);
-      deck.cosmology.initial_ionization = num(value);
-      return;
-    }
-    if (key == "InitialH2Fraction") {
-      deck.collapse.h2_fraction = num(value);
-      deck.cosmology.initial_h2_fraction = num(value);
-      return;
-    }
+    if (key == "InitialTemperature") { deck.initial_temperature = num(value); return; }
+    if (key == "InitialIonizationFraction") { deck.initial_ionization = num(value); return; }
+    if (key == "InitialH2Fraction") { deck.initial_h2_fraction = num(value); return; }
     // --- pancake -------------------------------------------------------------------
     if (key == "PancakeCausticRedshift") { deck.pancake.a_caustic_redshift = num(value); return; }
     // --- uniform -------------------------------------------------------------------
@@ -311,14 +294,8 @@ std::string render_deck(const ParameterDeck& deck) {
     os << "Sigma8 = " << fmt(cfg.frw.sigma8) << "\n";
   if (cfg.initial_redshift != c0.initial_redshift)
     os << "InitialRedshift = " << fmt(cfg.initial_redshift) << "\n";
-  // ComovingBoxSizeMpc feeds both comoving problems; emit whichever differs
-  // from its default (a deck key always sets the two together).
-  if (deck.cosmology.box_comoving_cm != d0.cosmology.box_comoving_cm)
-    os << "ComovingBoxSizeMpc = "
-       << fmt(deck.cosmology.box_comoving_cm / constants::kMpc) << "\n";
-  else if (deck.pancake.box_comoving_cm != d0.pancake.box_comoving_cm)
-    os << "ComovingBoxSizeMpc = "
-       << fmt(deck.pancake.box_comoving_cm / constants::kMpc) << "\n";
+  if (deck.comoving_box_mpc)
+    os << "ComovingBoxSizeMpc = " << fmt(*deck.comoving_box_mpc) << "\n";
   if (deck.cosmology.seed != d0.cosmology.seed)
     os << "RandomSeed = " << deck.cosmology.seed << "\n";
   if (deck.cosmology.nested_static_levels != d0.cosmology.nested_static_levels)
@@ -337,26 +314,13 @@ std::string render_deck(const ParameterDeck& deck) {
   if (deck.collapse.mean_density_cgs != d0.collapse.mean_density_cgs)
     os << "BackgroundDensityCGS = " << fmt(deck.collapse.mean_density_cgs)
        << "\n";
-  // The Initial* keys each feed two problems' options; emit whichever copy
-  // differs from its own default (a deck key always sets both together).
-  if (deck.collapse.temperature != d0.collapse.temperature)
-    os << "InitialTemperature = " << fmt(deck.collapse.temperature) << "\n";
-  else if (deck.pancake.initial_temperature != d0.pancake.initial_temperature)
-    os << "InitialTemperature = " << fmt(deck.pancake.initial_temperature)
+  if (deck.initial_temperature)
+    os << "InitialTemperature = " << fmt(*deck.initial_temperature) << "\n";
+  if (deck.initial_ionization)
+    os << "InitialIonizationFraction = " << fmt(*deck.initial_ionization)
        << "\n";
-  if (deck.collapse.ionization != d0.collapse.ionization)
-    os << "InitialIonizationFraction = " << fmt(deck.collapse.ionization)
-       << "\n";
-  else if (deck.cosmology.initial_ionization !=
-           d0.cosmology.initial_ionization)
-    os << "InitialIonizationFraction = "
-       << fmt(deck.cosmology.initial_ionization) << "\n";
-  if (deck.collapse.h2_fraction != d0.collapse.h2_fraction)
-    os << "InitialH2Fraction = " << fmt(deck.collapse.h2_fraction) << "\n";
-  else if (deck.cosmology.initial_h2_fraction !=
-           d0.cosmology.initial_h2_fraction)
-    os << "InitialH2Fraction = " << fmt(deck.cosmology.initial_h2_fraction)
-       << "\n";
+  if (deck.initial_h2_fraction)
+    os << "InitialH2Fraction = " << fmt(*deck.initial_h2_fraction) << "\n";
   // --- pancake / uniform / sedov ---
   if (deck.pancake.a_caustic_redshift != d0.pancake.a_caustic_redshift)
     os << "PancakeCausticRedshift = " << fmt(deck.pancake.a_caustic_redshift)

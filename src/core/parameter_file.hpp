@@ -29,13 +29,40 @@
 // round-trip float precision), pinned by the deck round-trip suite in
 // tests/deck_test.cpp.
 
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
-#include "core/setup.hpp"
+#include "core/problem_setup.hpp"
 #include "core/simulation.hpp"
 
 namespace enzo::core {
+
+/// Collapse-cloud options (problems `CollapseCloud` / `IsothermalCollapse`):
+/// an overdense parabolic sphere in a periodic box of proper size
+/// box_proper_cm; code density 1 is the background density.
+struct CollapseOptions {
+  double box_proper_cm = 2.0 * 3.0857e18;  ///< deck key BoxSizeParsec
+  double cloud_radius = 0.2;               ///< code units; CloudRadius
+  double overdensity = 8.0;                ///< CloudOverdensity
+  double mean_density_cgs = 1e-20;         ///< BackgroundDensityCGS
+};
+
+/// Cosmology-box options (problem `Cosmology`).
+struct CosmologyOptions {
+  std::uint64_t seed = 2001;   ///< deck key RandomSeed
+  int particles_per_axis = 0;  ///< 0 → same as root dims; ParticlesPerAxis
+  /// Nested static levels covering the central half-box (each level halves
+  /// the covered region, like the paper's zoom-in region);
+  /// NestedStaticLevels.
+  int nested_static_levels = 0;
+};
+
+/// Zel'dovich pancake options (problem `ZeldovichPancake`).
+struct PancakeOptions {
+  double a_caustic_redshift = 1.0;  ///< deck key PancakeCausticRedshift
+};
 
 /// Sedov–Taylor blast options (problem `SedovBlast` / `SedovBlastSMR`):
 /// energy deposited as thermal energy in a central sphere of the given
@@ -51,12 +78,19 @@ struct ParameterDeck {
   /// Problem-registry name (deck key ProblemType), e.g. "SodTube".
   std::string problem = "Uniform";
   SimulationConfig config;
-  CollapseSetupOptions collapse;
-  CosmologySetupOptions cosmology;
+  CollapseOptions collapse;
+  CosmologyOptions cosmology;
   PancakeOptions pancake;
   SedovOptions sedov;
   double uniform_density = 1.0;
   double uniform_eint = 1.0;
+  // Keys several problems read.  Unset means each problem's own default
+  // (collapse: 400 K, x_e 1e-4, f_H2 5e-4; pancake: 100 K in a 64 Mpc box;
+  // cosmology: x_e 2e-4, f_H2 2e-6 in a 128 kpc box).
+  std::optional<double> comoving_box_mpc;     ///< ComovingBoxSizeMpc
+  std::optional<double> initial_temperature;  ///< InitialTemperature [K]
+  std::optional<double> initial_ionization;   ///< InitialIonizationFraction
+  std::optional<double> initial_h2_fraction;  ///< InitialH2Fraction
   // Run control.
   double stop_time = -1.0;      ///< code units; <0 → use stop_steps only
   int stop_steps = 10;
@@ -76,11 +110,14 @@ ParameterDeck parse_parameter_deck(std::istream& in);
 ParameterDeck parse_parameter_file(const std::string& path);
 
 /// The deck's problem as a composable ProblemSetup (problem-registry
-/// dispatch on deck.problem).
+/// dispatch on deck.problem).  The setup reads only the deck's problem
+/// parameters; physics and hierarchy values come from the config of the
+/// Simulation it initializes.
 ProblemSetup deck_problem_setup(const ParameterDeck& deck);
 
-/// Apply the deck's problem setup to a simulation constructed from
-/// deck.config (build_root + fields + finalize).
+/// Apply the deck's problem setup to a simulation (build_root + fields +
+/// finalize).  The simulation may be built from any config, not only
+/// deck.config.
 void setup_from_deck(Simulation& sim, const ParameterDeck& deck);
 
 /// Restart path: apply only the deck setup's configure hooks (units, physics

@@ -21,8 +21,10 @@
 //                          (e.g. overwriting nested levels with finer
 //                          realizations)
 //
-// The factories in setup.hpp (cosmological_setup(...) etc.) return
-// ready-made ProblemSetups; examples compose or extend them.
+// Each registered problem (src/problems/) builds its ProblemSetup from a
+// parameter deck; callers get it through core::deck_problem_setup or
+// core::setup_from_deck.  Hand-written ProblemSetups remain for scenes that
+// are not registered problems.
 
 #include <functional>
 #include <utility>

@@ -20,7 +20,6 @@
 #include "perf/trace.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/error.hpp"
-#include "util/flops.hpp"
 
 namespace enzo::core {
 
@@ -648,7 +647,8 @@ perf::StepRecord Simulation::make_step_record(double dt,
                             : 0.0;
   rec.peak_bytes = static_cast<std::uint64_t>(
       util::AllocStats::global().peak_bytes());
-  rec.flops = static_cast<std::uint64_t>(util::FlopCounter::global().total());
+  static perf::Counter& flops = perf::Registry::global().counter("flops.total");
+  rec.flops = flops.value();
   rec.wall_seconds = wall_seconds;
   return rec;
 }

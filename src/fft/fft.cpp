@@ -114,8 +114,8 @@ void fft3(util::Array3<cplx>& a, bool inverse) {
   }
   int log2n = 0;
   for (std::size_t t = a.size(); t > 1; t >>= 1) ++log2n;
-  util::FlopCounter::global().add(
-      "fft", util::flop_cost::kFftPerPointLog2 * a.size() * log2n);
+  static perf::Counter& flops = perf::Registry::global().counter("flops.fft");
+  util::add_flops(flops, util::flop_cost::kFftPerPointLog2 * a.size() * log2n);
 }
 
 util::Array3<cplx> fft3_real(const util::Array3<double>& a) {

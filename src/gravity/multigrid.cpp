@@ -58,10 +58,11 @@ ENZO_HOT void smooth(MgLevel& lv, int sweeps) {
           }
     }
   }
-  util::FlopCounter::global().add(
-      "gravity", util::flop_cost::kMultigridPerCellPerSweep *
-                     static_cast<std::uint64_t>(lv.n[0]) * lv.n[1] * lv.n[2] *
-                     2 * sweeps);
+  static perf::Counter& flops =
+      perf::Registry::global().counter("flops.gravity");
+  util::add_flops(flops, util::flop_cost::kMultigridPerCellPerSweep *
+                             static_cast<std::uint64_t>(lv.n[0]) * lv.n[1] *
+                             lv.n[2] * 2 * sweeps);
 }
 
 ENZO_HOT void residual(const MgLevel& lv, util::Array3<double>& res) {

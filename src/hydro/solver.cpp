@@ -240,9 +240,10 @@ ENZO_HOT void sweep_all_axes(Grid& g, double dt, const HydroParams& hp,
         (hp.solver == Solver::kPpm ? util::flop_cost::kPpmPerCellPerSweep
                                    : util::flop_cost::kZeusPerCellPerSweep) +
         12 * static_cast<std::uint64_t>(nscal);
-    util::FlopCounter::global().add(
-        "hydro",
-        cost * static_cast<std::uint64_t>(g.nt(t1)) * g.nt(t2) * np);
+    static perf::Counter& flops =
+        perf::Registry::global().counter("flops.hydro");
+    util::add_flops(
+        flops, cost * static_cast<std::uint64_t>(g.nt(t1)) * g.nt(t2) * np);
   }
 }
 

@@ -194,11 +194,13 @@ ENZO_HOT std::int64_t interpolate_region(Grid& child, const Grid& parent,
       }
     }
   }
-  if (cells > 0)
-    util::FlopCounter::global().add(
-        "interpolation",
-        util::flop_cost::kInterpolationPerCell *
-            static_cast<std::uint64_t>(cells) * child.field_list().size());
+  if (cells > 0) {
+    static perf::Counter& flops =
+        perf::Registry::global().counter("flops.interpolation");
+    util::add_flops(flops, util::flop_cost::kInterpolationPerCell *
+                               static_cast<std::uint64_t>(cells) *
+                               child.field_list().size());
+  }
   return cells;
 }
 

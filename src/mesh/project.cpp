@@ -89,9 +89,11 @@ ENZO_HOT std::int64_t project_to_parent(const Grid& child, Grid& parent) {
           parent.field(f)(psi, psj, psk) = v;
         }
       }
-  util::FlopCounter::global().add(
-      "projection", util::flop_cost::kProjectionPerCell * cover.volume() *
-                        parent.field_list().size() * rd[0] * rd[1] * rd[2]);
+  static perf::Counter& flops =
+      perf::Registry::global().counter("flops.projection");
+  util::add_flops(flops, util::flop_cost::kProjectionPerCell * cover.volume() *
+                             parent.field_list().size() * rd[0] * rd[1] *
+                             rd[2]);
   return cover.volume();
 }
 

@@ -105,8 +105,9 @@ void deposit_particles_cic(Grid& g) {
           gm(i + gx, j + gy, k + gz) = 0.0;
         }
   }
-  util::FlopCounter::global().add(
-      "nbody", util::flop_cost::kCicPerParticle * g.particles().size());
+  static perf::Counter& flops = perf::Registry::global().counter("flops.nbody");
+  util::add_flops(flops,
+                  util::flop_cost::kCicPerParticle * g.particles().size());
 }
 
 void kick_particles(Grid& g, double dt, double adot_over_a) {
@@ -145,8 +146,9 @@ void kick_particles(Grid& g, double dt, double adot_over_a) {
     for (int d = 0; d < 3; ++d)
       if (g.spec().level_dims[d] == 1) p.v[d] *= decay;
   }
-  util::FlopCounter::global().add(
-      "nbody", util::flop_cost::kCicPerParticle * g.particles().size());
+  static perf::Counter& flops = perf::Registry::global().counter("flops.nbody");
+  util::add_flops(flops,
+                  util::flop_cost::kCicPerParticle * g.particles().size());
 }
 
 void drift_particles(Grid& g, double dt, double a) {

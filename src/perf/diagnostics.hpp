@@ -37,7 +37,7 @@ struct StepRecord {
   double energy_total = 0.0;            ///< root-level total gas energy
   double energy_residual = 0.0;         ///< (E - E₀) / |E₀|
   std::uint64_t peak_bytes = 0;         ///< AllocStats peak grid memory
-  std::uint64_t flops = 0;              ///< cumulative FlopCounter total
+  std::uint64_t flops = 0;              ///< cumulative `flops.total` counter
   double wall_seconds = 0.0;            ///< wall time of this root step
 };
 

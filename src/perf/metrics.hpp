@@ -4,10 +4,11 @@
 //
 // Solvers record the churn statistics §5 of the paper reports alongside the
 // timing table — cells updated, ghost cells filled, chemistry subcycles,
-// hierarchy rebuilds and the grids they create, transport bytes — and the
-// legacy singletons (util::FlopCounter, util::AllocStats) publish into the
-// same snapshot as registered *sources*, so one Registry::global().snapshot()
-// captures everything a bench or diagnostics record needs.
+// hierarchy rebuilds and the grids they create, transport bytes, the
+// analytic flop counts (`flops.<component>`, `flops.total`) — and the
+// allocation statistics (util::AllocStats) publish into the same snapshot as
+// a registered *source*, so one Registry::global().snapshot() captures
+// everything a bench or diagnostics record needs.
 //
 // Lookup by name takes a mutex; instruments themselves are lock-free atomics
 // with stable addresses, so hot paths should cache the reference:

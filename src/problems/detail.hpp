@@ -3,10 +3,22 @@
 
 #include <cstdint>
 
+#include "core/problem_setup.hpp"
 #include "core/simulation.hpp"
+#include "cosmology/units.hpp"
 #include "mesh/grid.hpp"
 
 namespace enzo::problems::detail {
+
+/// Specific internal energy (code units) for temperature T and mean
+/// molecular weight mu.
+double eint_code(double T, double mu, double gamma,
+                 const cosmology::CodeUnits& u);
+
+/// Fill hook: a uniform medium at rest (density rho, specific internal
+/// energy eint) on every root grid, with primordial composition when the
+/// run has chemistry.
+core::ProblemSetup::SimHook uniform_fill(double rho, double eint);
 
 /// Visit every interior root-level cell: fn(x, y, z, rho) with unit-box
 /// cell-center coordinates.  The root level is the right place to measure

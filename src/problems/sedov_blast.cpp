@@ -11,7 +11,6 @@
 #include <cmath>
 
 #include "analysis/reference.hpp"
-#include "core/setup.hpp"
 #include "problems/detail.hpp"
 #include "problems/registry.hpp"
 #include "util/error.hpp"
@@ -29,8 +28,8 @@ constexpr double kAmbientEint = 1e-4;
 core::ProblemSetup sedov_setup(const core::ParameterDeck& d) {
   const double energy = d.sedov.energy;
   const double r_dep = d.sedov.radius;
-  core::ProblemSetup setup =
-      core::uniform_setup(kAmbientDensity, kAmbientEint);
+  core::ProblemSetup setup;
+  setup.fill(detail::uniform_fill(kAmbientDensity, kAmbientEint));
   setup.configure([](core::SimulationConfig& cfg) {
     cfg.enable_gravity = false;
     cfg.enable_chemistry = false;
@@ -118,15 +117,18 @@ void register_sedov_blast(Registry& r) {
         if (cfg.hierarchy.max_level < 1) cfg.hierarchy.max_level = 1;
         cfg.rebuild_interval = 1 << 20;  // static tree
       });
-      const auto& dims = d.config.hierarchy.root_dims;
-      const int rf = d.config.hierarchy.refine_factor;
-      mesh::IndexBox box;
-      for (int a = 0; a < 3; ++a) {
-        const std::int64_t n1 = static_cast<std::int64_t>(dims[a]) * rf;
-        box.lo[a] = n1 / 8;
-        box.hi[a] = 7 * n1 / 8;
-      }
-      setup.static_region(1, box);
+      // Central 3/4 of the box at level 1 (level-1 index space).
+      setup.fill([](core::Simulation& sim) {
+        const mesh::HierarchyParams& hp = sim.config().hierarchy;
+        mesh::IndexBox box;
+        for (int a = 0; a < 3; ++a) {
+          const std::int64_t n1 =
+              static_cast<std::int64_t>(hp.root_dims[a]) * hp.refine_factor;
+          box.lo[a] = n1 / 8;
+          box.hi[a] = 7 * n1 / 8;
+        }
+        sim.add_static_region(1, box);
+      });
       return setup;
     };
     s.l1_density_error = sedov_l1;

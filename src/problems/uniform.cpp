@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "core/setup.hpp"
 #include "problems/detail.hpp"
 #include "problems/registry.hpp"
 
@@ -16,7 +15,9 @@ void register_uniform(Registry& r) {
   s.name = "Uniform";
   s.description = "uniform periodic medium (smoke tests / trivial steady state)";
   s.make = [](const core::ParameterDeck& d) {
-    return core::uniform_setup(d.uniform_density, d.uniform_eint);
+    core::ProblemSetup setup;
+    setup.fill(detail::uniform_fill(d.uniform_density, d.uniform_eint));
+    return setup;
   };
   s.l1_density_error = [](const core::Simulation& sim,
                           const core::ParameterDeck& d) {

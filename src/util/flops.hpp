@@ -6,32 +6,27 @@
 // sustained, then computes a "virtual flop rate" of ~1e44 flop/s versus a
 // hypothetical static 1e12^3 grid.  We instrument each solver with an
 // analytic per-cell operation estimate (the future project mentioned in §5)
-// and accumulate them here; the table_flops bench divides by measured wall
-// time to produce the same two numbers.
+// and accumulate them in the metrics registry, one `flops.<component>`
+// counter per solver plus `flops.total`; the table_flops bench divides by
+// measured wall time to produce the same two numbers.
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
+
+#include "perf/metrics.hpp"
 
 namespace enzo::util {
 
-class FlopCounter {
- public:
-  void add(const std::string& component, std::uint64_t flops);
-  [[nodiscard]] std::uint64_t total() const;
-  [[nodiscard]] std::uint64_t component(const std::string& name) const;
-  std::vector<std::pair<std::string, std::uint64_t>> rows() const;
-  void reset();
-
-  static FlopCounter& global();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::uint64_t> counts_;
-};
+/// Charge n flops to a solver's cached `flops.<component>` counter and to
+/// `flops.total`:
+///
+///   static perf::Counter& flops =
+///       perf::Registry::global().counter("flops.hydro");
+///   util::add_flops(flops, n);
+inline void add_flops(perf::Counter& component, std::uint64_t n) {
+  static perf::Counter& total = perf::Registry::global().counter("flops.total");
+  component.add(n);
+  total.add(n);
+}
 
 /// Analytic per-cell-update flop estimates for each solver, used consistently
 /// across the code.  These are deliberately conservative (counts of the

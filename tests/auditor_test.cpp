@@ -12,13 +12,13 @@
 
 #include "analysis/auditor.hpp"
 #include "core/parameter_file.hpp"
-#include "core/setup.hpp"
 #include "core/simulation.hpp"
 #include "mesh/boundary.hpp"
 #include "mesh/hierarchy.hpp"
 #include "mesh/project.hpp"
 #include "perf/log.hpp"
 #include "perf/metrics.hpp"
+#include "support/problem_deck.hpp"
 
 using namespace enzo;
 using namespace enzo::mesh;
@@ -298,7 +298,7 @@ TEST(Auditor, SimulationHookAuditsEachRootStep) {
   cfg.refinement.overdensity_threshold = 1.5;
   cfg.audit_invariants = true;
   core::Simulation sim(cfg);
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   sim.advance_root_step();
   sim.advance_root_step();
   EXPECT_EQ(sim.audits_run(), 2);

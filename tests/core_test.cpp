@@ -12,8 +12,8 @@
 #include <map>
 
 #include "analysis/analysis.hpp"
-#include "core/setup.hpp"
 #include "core/simulation.hpp"
+#include "support/problem_deck.hpp"
 #include "util/constants.hpp"
 
 using namespace enzo;
@@ -50,7 +50,10 @@ double total_root_mass(Simulation& sim) {
 TEST(Simulation, UniformStateStaysUniform) {
   SimulationConfig cfg = base_config({8, 8, 8}, 0);
   Simulation sim(cfg);
-  sim.initialize(core::uniform_setup(2.0, 1.5));
+  core::ParameterDeck deck = test::problem_deck("Uniform");
+  deck.uniform_density = 2.0;
+  deck.uniform_eint = 1.5;
+  core::setup_from_deck(sim, deck);
   for (int s = 0; s < 3; ++s) sim.advance_root_step();
   for (Grid* g : sim.hierarchy().grids(0))
     for (int i = 0; i < 8; ++i)
@@ -67,7 +70,7 @@ TEST(Simulation, WcycleOrderingMatchesFigure2) {
   cfg.trace_wcycle = true;
   Simulation sim(cfg);
   sim.add_static_region(1, {{12, 12, 12}, {20, 20, 20}});
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   ASSERT_EQ(sim.hierarchy().deepest_level(), 1);
   sim.advance_root_step();
   const auto& tr = sim.trace();
@@ -95,7 +98,7 @@ TEST(Simulation, ThreeLevelWcycleIsNested) {
   Simulation sim(cfg);
   sim.add_static_region(1, {{8, 8, 8}, {24, 24, 24}});
   sim.add_static_region(2, {{24, 24, 24}, {40, 40, 40}});
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   ASSERT_EQ(sim.hierarchy().deepest_level(), 2);
   sim.advance_root_step();
   // Every level-1 event must be followed by its level-2 catch-ups before the
@@ -118,7 +121,7 @@ TEST(Simulation, SodTubeThroughDriver) {
   SimulationConfig cfg = base_config({128, 1, 1}, 0);
   cfg.hydro.gamma = 1.4;
   Simulation sim(cfg);
-  sim.initialize(core::sod_tube_setup());
+  core::setup_from_deck(sim, test::problem_deck("SodTube"));
   sim.evolve_until(0.15, 4000);
   EXPECT_NEAR(sim.time_d(), 0.15, 1e-12);
   Grid* g = sim.hierarchy().grids(0)[0];
@@ -138,14 +141,14 @@ TEST(Simulation, AmrSodMatchesUnigrid) {
   cfg.rebuild_interval = 1 << 20;
   Simulation amr(cfg);
   amr.add_static_region(1, {{48, 0, 0}, {80, 1, 1}});
-  amr.initialize(core::sod_tube_setup());
+  core::setup_from_deck(amr, test::problem_deck("SodTube"));
   ASSERT_EQ(amr.hierarchy().deepest_level(), 1);
   amr.evolve_until(0.12, 4000);
 
   SimulationConfig ucfg = base_config({64, 1, 1}, 0);
   ucfg.hydro.gamma = 1.4;
   Simulation uni(ucfg);
-  uni.initialize(core::sod_tube_setup());
+  core::setup_from_deck(uni, test::problem_deck("SodTube"));
   uni.evolve_until(0.12, 4000);
 
   Grid* ga = amr.hierarchy().grids(0)[0];
@@ -196,12 +199,11 @@ TEST(Simulation, UniformComovingBoxFollowsAdiabaticExpansion) {
   cfg.initial_redshift = 99.0;
   cfg.enable_gravity = true;
   Simulation sim(cfg);
-  core::CosmologySetupOptions opt;
-  opt.box_comoving_cm = 2.0 * constants::kMpc;
-  opt.seed = 1;
-  Simulation* s = &sim;
+  core::ParameterDeck deck = test::problem_deck("Cosmology");
+  deck.comoving_box_mpc = 2.0;
+  deck.cosmology.seed = 1;
   // Zero out perturbations by hand after setup for a clean uniform test.
-  s->initialize(core::cosmological_setup(opt));
+  core::setup_from_deck(sim, deck);
   for (Grid* g : sim.hierarchy().grids(0)) {
     g->field(Field::kDensity).fill(1.0);
     g->field(Field::kVelocityX).fill(0.0);
@@ -242,9 +244,9 @@ TEST(Simulation, ZeldovichPancakeGrowsPerLinearTheory) {
   cfg.frw.omega_baryon = 1.0;
   cfg.initial_redshift = 30.0;
   Simulation sim(cfg);
-  core::PancakeOptions opt;
-  opt.a_caustic_redshift = 5.0;
-  sim.initialize(core::zeldovich_pancake_setup(opt));
+  core::ParameterDeck deck = test::problem_deck("ZeldovichPancake");
+  deck.pancake.a_caustic_redshift = 5.0;
+  core::setup_from_deck(sim, deck);
   const double a_i = sim.scale_factor();
   Grid* g = sim.hierarchy().grids(0)[0];
   // Amplitude of the fundamental Fourier mode — the observable that follows
@@ -294,14 +296,13 @@ TEST(Simulation, CollapseDeepensHierarchyAndRaisesDensity) {
   cfg.refinement.jeans_number = 4.0;
   cfg.enable_chemistry = false;  // pure hydro+gravity collapse (fast test)
   Simulation sim(cfg);
-  core::CollapseSetupOptions opt;
-  opt.chemistry = false;
-  opt.overdensity = 20.0;
-  opt.mean_density_cgs = 1e-19;
-  opt.box_proper_cm = 4.0 * constants::kParsec;
-  opt.cloud_radius = 0.25;
-  opt.temperature = 100.0;
-  sim.initialize(core::collapse_cloud_setup(opt));
+  core::ParameterDeck deck = test::problem_deck("CollapseCloud");
+  deck.collapse.overdensity = 20.0;
+  deck.collapse.mean_density_cgs = 1e-19;
+  deck.collapse.box_proper_cm = 4.0 * constants::kParsec;
+  deck.collapse.cloud_radius = 0.25;
+  deck.initial_temperature = 100.0;
+  core::setup_from_deck(sim, deck);
   const double rho0 = analysis::find_densest_point(sim.hierarchy()).density;
   // Several free-fall times in code units.
   for (int s = 0; s < 10; ++s) sim.advance_root_step();

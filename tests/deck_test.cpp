@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -115,7 +116,8 @@ NestedStaticLevels  = 2
 )");
   EXPECT_TRUE(d.config.comoving);
   EXPECT_DOUBLE_EQ(d.config.frw.sigma8, 0.7);
-  EXPECT_NEAR(d.cosmology.box_comoving_cm, 2.0 * constants::kMpc, 1e10);
+  EXPECT_NEAR(d.comoving_box_mpc.value_or(0.0) * constants::kMpc,
+              2.0 * constants::kMpc, 1e10);
   EXPECT_EQ(d.cosmology.seed, 99u);
   EXPECT_EQ(d.cosmology.nested_static_levels, 2);
 }
@@ -172,6 +174,46 @@ StopSteps              = 5
   EXPECT_EQ(d2.config.hydro.solver, d.config.hydro.solver);
   EXPECT_DOUBLE_EQ(d2.config.hydro.gamma, d.config.hydro.gamma);
   EXPECT_EQ(d2.stop_steps, d.stop_steps);
+
+  // Keys that several problems read are stored once: each survives a round
+  // trip even when set to the value another problem uses as its default.
+  struct Shared {
+    const char* problem;
+    const char* key;
+    double value;
+    std::optional<double> ParameterDeck::*field;
+  };
+  for (const Shared& s :
+       {Shared{"ZeldovichPancake", "InitialTemperature", 400.0,
+               &ParameterDeck::initial_temperature},
+        Shared{"CollapseCloud", "InitialTemperature", 100.0,
+               &ParameterDeck::initial_temperature},
+        Shared{"ZeldovichPancake", "ComovingBoxSizeMpc", 0.128,
+               &ParameterDeck::comoving_box_mpc},
+        Shared{"Cosmology", "ComovingBoxSizeMpc", 64.0,
+               &ParameterDeck::comoving_box_mpc},
+        Shared{"Cosmology", "InitialIonizationFraction", 1e-4,
+               &ParameterDeck::initial_ionization},
+        Shared{"CollapseCloud", "InitialIonizationFraction", 2e-4,
+               &ParameterDeck::initial_ionization},
+        Shared{"Cosmology", "InitialH2Fraction", 5e-4,
+               &ParameterDeck::initial_h2_fraction},
+        Shared{"CollapseCloud", "InitialH2Fraction", 2e-6,
+               &ParameterDeck::initial_h2_fraction}}) {
+    SCOPED_TRACE(std::string(s.problem) + " " + s.key);
+    std::ostringstream text;
+    text << "ProblemType = " << s.problem << "\n"
+         << s.key << " = " << s.value << "\n";
+    const auto sd = parse(text.str());
+    const auto sd2 = parse(core::render_deck(sd));
+    EXPECT_EQ(sd2.*s.field, s.value);
+    EXPECT_EQ(core::render_deck(sd2), core::render_deck(sd));
+  }
+  // A deck built in code renders the same key.
+  ParameterDeck coded;
+  coded.problem = "ZeldovichPancake";
+  coded.initial_temperature = 400.0;
+  EXPECT_EQ(parse(core::render_deck(coded)).initial_temperature, 400.0);
 }
 
 TEST(Deck, RemovedStorageAndTopologyKeysAreUnknown) {

@@ -8,13 +8,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/setup.hpp"
 #include "core/simulation.hpp"
 #include "gravity/gravity.hpp"
 #include "hydro/hydro.hpp"
 #include "mesh/boundary.hpp"
 #include "mesh/interpolate.hpp"
 #include "mesh/project.hpp"
+#include "support/problem_deck.hpp"
 #include "util/rng.hpp"
 
 using namespace enzo;
@@ -141,7 +141,7 @@ TEST_P(GammaSweep, SodTubeConservesAndStaysPositive) {
   cfg.hierarchy.root_dims = {64, 1, 1};
   cfg.hydro.gamma = gamma;
   core::Simulation sim(cfg);
-  sim.initialize(core::sod_tube_setup());
+  core::setup_from_deck(sim, test::problem_deck("SodTube"));
   sim.evolve_until(0.1, 4000);
   Grid* g = sim.hierarchy().grids(0)[0];
   for (int i = 0; i < 64; ++i) {
@@ -192,7 +192,7 @@ TEST(Wcycle, RefineFactorFourTakesFourChildSteps) {
   cfg.rebuild_interval = 1 << 20;
   core::Simulation sim(cfg);
   sim.add_static_region(1, {{8, 8, 8}, {24, 24, 24}});
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   ASSERT_EQ(sim.hierarchy().deepest_level(), 1);
   sim.advance_root_step();
   int child_steps = 0;
@@ -215,7 +215,7 @@ TEST(Boundary, SubgridAtOutflowDomainEdgeClampsGhosts) {
   cfg.rebuild_interval = 1 << 20;
   core::Simulation sim(cfg);
   sim.add_static_region(1, {{32, 0, 0}, {64, 1, 1}});  // right half, to edge
-  sim.initialize(core::sod_tube_setup());
+  core::setup_from_deck(sim, test::problem_deck("SodTube"));
   ASSERT_EQ(sim.hierarchy().deepest_level(), 1);
   // Parent-level boundaries first (as EvolveLevel does): the child's
   // out-of-domain ghosts are interpolated from the *parent's* outflow-filled

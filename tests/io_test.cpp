@@ -11,7 +11,6 @@
 #include <random>
 
 #include "analysis/analysis.hpp"
-#include "core/setup.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
 #include "io/codec.hpp"

@@ -1291,8 +1291,7 @@ TEST(BoundaryOracle, CountersAndFlopsChargeOnlyInterpolatedCells) {
       reg.counter("boundary.parent_interp_cells").value();
   const std::uint64_t copied0 =
       reg.counter("boundary.sibling_copy_cells").value();
-  const std::uint64_t flops0 =
-      enzo::util::FlopCounter::global().component("interpolation");
+  const std::uint64_t flops0 = reg.counter("flops.interpolation").value();
   set_boundary_values(h, 1);
   const std::uint64_t ghosts =
       reg.counter("boundary.ghost_cells_filled").value() - ghosts0;
@@ -1301,7 +1300,7 @@ TEST(BoundaryOracle, CountersAndFlopsChargeOnlyInterpolatedCells) {
   const std::uint64_t copied =
       reg.counter("boundary.sibling_copy_cells").value() - copied0;
   const std::uint64_t flops =
-      enzo::util::FlopCounter::global().component("interpolation") - flops0;
+      reg.counter("flops.interpolation").value() - flops0;
 
   std::uint64_t expect_ghosts = 0, expect_copied = 0;
   const auto grids = h.grids(1);

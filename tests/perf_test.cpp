@@ -15,13 +15,13 @@
 #include <thread>
 #include <vector>
 
-#include "core/setup.hpp"
 #include "core/simulation.hpp"
 #include "perf/diagnostics.hpp"
 #include "perf/json.hpp"
 #include "perf/log.hpp"
 #include "perf/metrics.hpp"
 #include "perf/trace.hpp"
+#include "support/problem_deck.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/flops.hpp"
 
@@ -262,8 +262,10 @@ TEST(Metrics, SourcesAppearInSnapshotAndJson) {
 }
 
 TEST(Metrics, LegacySingletonsRegisterAsSources) {
-  // Touch the singletons so their lazy source registration runs.
-  util::FlopCounter::global().add("test_component", 123);
+  // Charge some flops and touch the allocation singleton so its lazy source
+  // registration runs.
+  util::add_flops(perf::Registry::global().counter("flops.test_component"),
+                  123);
   util::AllocStats::global();
   bool saw_flops = false, saw_alloc = false;
   for (const auto& s : perf::Registry::global().snapshot()) {
@@ -350,14 +352,13 @@ TEST(Diagnostics, SimulationEmitsOneRecordPerRootStep) {
   cfg.refinement.baryon_mass_threshold = 4.0 / (16.0 * 16 * 16);
   cfg.enable_chemistry = false;
   core::Simulation sim(cfg);
-  core::CollapseSetupOptions opt;
-  opt.chemistry = false;
-  opt.overdensity = 20.0;
-  opt.mean_density_cgs = 1e-19;
-  opt.box_proper_cm = 4.0 * 3.0857e18;
-  opt.cloud_radius = 0.25;
-  opt.temperature = 100.0;
-  sim.initialize(core::collapse_cloud_setup(opt));
+  core::ParameterDeck deck = test::problem_deck("CollapseCloud");
+  deck.collapse.overdensity = 20.0;
+  deck.collapse.mean_density_cgs = 1e-19;
+  deck.collapse.box_proper_cm = 4.0 * 3.0857e18;
+  deck.collapse.cloud_radius = 0.25;
+  deck.initial_temperature = 100.0;
+  core::setup_from_deck(sim, deck);
 
   const std::string path = "perf_test_diag.jsonl";
   std::remove(path.c_str());
@@ -410,7 +411,7 @@ TEST(Diagnostics, EvolveUntilReportsStopTimeLimiter) {
   cfg.hierarchy.root_dims = {8, 8, 8};
   cfg.hierarchy.max_level = 0;
   core::Simulation sim(cfg);
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   const double dt0 = sim.advance_root_step();
   // Stop inside the next step: the clamp must be attributed to stop_time.
   sim.evolve_until(sim.time_d() + 0.25 * dt0, 1);
@@ -504,7 +505,7 @@ TEST(PerfThreading, RebuildCycleBalancesAllocations) {
     cfg.hierarchy.max_level = 2;
     cfg.refinement.overdensity_threshold = 1.5;
     core::Simulation sim(cfg);
-    sim.initialize(core::uniform_setup(1.0, 1.0));
+    core::setup_from_deck(sim, test::problem_deck("Uniform"));
     // Perturb so the rebuild cascade flags (and later unflags) cells.
     for (mesh::Grid* g : sim.hierarchy().grids(0)) {
       const auto rho = g->field(mesh::Field::kDensity);

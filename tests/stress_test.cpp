@@ -7,13 +7,13 @@
 
 #include <cmath>
 
-#include "core/setup.hpp"
 #include "core/simulation.hpp"
 #include "cosmology/grf.hpp"
 #include "cosmology/power_spectrum.hpp"
 #include "ext/dd.hpp"
 #include "mesh/boundary.hpp"
 #include "mesh/hierarchy.hpp"
+#include "support/problem_deck.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -85,7 +85,7 @@ TEST(Stress, DeepHierarchyEvolvesWithExactTimeLanding) {
   sim.add_static_region(2, {{12, 12, 12}, {20, 20, 20}});
   sim.add_static_region(3, {{28, 28, 28}, {36, 36, 36}});
   sim.add_static_region(4, {{60, 60, 60}, {68, 68, 68}});
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   ASSERT_EQ(sim.hierarchy().deepest_level(), 4);
   sim.advance_root_step();
   const ext::pos_t t0 = sim.hierarchy().grids(0)[0]->time();
@@ -108,7 +108,7 @@ TEST(Stress, SubstepGuardFires) {
   cfg.max_substeps_per_level = 1;  // a 2:1 CFL ratio needs 2
   core::Simulation sim(cfg);
   sim.add_static_region(1, {{4, 4, 4}, {12, 12, 12}});
-  sim.initialize(core::uniform_setup(1.0, 1.0));
+  core::setup_from_deck(sim, test::problem_deck("Uniform"));
   EXPECT_THROW(sim.advance_root_step(), enzo::Error);
 }
 

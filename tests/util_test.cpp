@@ -106,14 +106,23 @@ TEST(Rng, DifferentSeedsDiffer) {
 }
 
 TEST(FlopCounter, AccumulatesPerComponent) {
-  eu::FlopCounter c;
-  c.add("hydro", 100);
-  c.add("hydro", 50);
-  c.add("fft", 10);
-  EXPECT_EQ(c.component("hydro"), 150u);
-  EXPECT_EQ(c.total(), 160u);
-  c.reset();
-  EXPECT_EQ(c.total(), 0u);
+  auto& reg = enzo::perf::Registry::global();
+  enzo::perf::Counter& hydro = reg.counter("flops.test_hydro");
+  enzo::perf::Counter& fft = reg.counter("flops.test_fft");
+  enzo::perf::Counter& total = reg.counter("flops.total");
+  const std::uint64_t total0 = total.value();
+  eu::add_flops(hydro, 100);
+  eu::add_flops(hydro, 50);
+  eu::add_flops(fft, 10);
+  EXPECT_EQ(hydro.value(), 150u);
+  EXPECT_EQ(total.value() - total0, 160u);
+  // The counts reach the snapshot as flops.<component> rows.
+  double snap_hydro = -1.0;
+  for (const auto& s : reg.snapshot())
+    if (s.name == "flops.test_hydro") snap_hydro = s.value;
+  EXPECT_EQ(snap_hydro, 150.0);
+  hydro.reset();
+  EXPECT_EQ(hydro.value(), 0u);
 }
 
 TEST(AllocStats, TracksPeakAndLive) {

@@ -1,7 +1,8 @@
 // check_trace: dependency-free (C++-only) self-check of the telemetry
-// subsystem's end-to-end output.  Runs the scaled first-star collapse with
-// event capture and a diagnostics sink, then validates what a user of
-// --trace-out/--diag-out would consume:
+// subsystem's end-to-end output.  Runs decks/first_star.enzo (the scaled
+// first-star collapse) for a few root steps with event capture and a
+// diagnostics sink, then validates what a user of --trace-out/--diag-out
+// would consume:
 //
 //   * the Chrome trace JSON parses, every event is a complete "X" event,
 //     timestamps are monotonic, and nested scopes appear for hydro, gravity,
@@ -18,12 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "core/setup.hpp"
+#include "core/parameter_file.hpp"
 #include "core/simulation.hpp"
 #include "perf/diagnostics.hpp"
 #include "perf/json.hpp"
 #include "perf/trace.hpp"
-#include "util/constants.hpp"
 
 using namespace enzo;
 
@@ -59,23 +59,10 @@ int main(int argc, char** argv) {
   recorder.reset();
   recorder.enable_events(true);
 
-  core::SimulationConfig cfg;
-  cfg.hierarchy.root_dims = {16, 16, 16};
-  cfg.hierarchy.max_level = 3;
-  cfg.hierarchy.fields = mesh::chemistry_field_list();
-  cfg.refinement.baryon_mass_threshold = 4.0 / (16.0 * 16.0 * 16.0);
-  cfg.refinement.jeans_number = 4.0;
-  cfg.enable_chemistry = true;
-  core::Simulation sim(cfg);
-  core::CollapseSetupOptions opt;
-  opt.chemistry = true;
-  opt.box_proper_cm = 4.0 * constants::kParsec;
-  opt.mean_density_cgs = 1e-19;
-  opt.overdensity = 10.0;
-  opt.cloud_radius = 0.25;
-  opt.temperature = 300.0;
-  opt.h2_fraction = 5e-4;
-  sim.initialize(core::collapse_cloud_setup(opt));
+  const core::ParameterDeck deck =
+      core::parse_parameter_file(ENZO_SOURCE_DIR "/decks/first_star.enzo");
+  core::Simulation sim(deck.config);
+  core::setup_from_deck(sim, deck);
 
   {
     perf::DiagnosticsSink sink(diag_path);

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/setup.hpp"
 #include "core/simulation.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
