@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "collapse_common.hpp"
-#include "exec/exec_config.hpp"
 #include "io/checkpoint.hpp"
 #include "perf/json.hpp"
 #include "perf/trace.hpp"
@@ -40,9 +39,7 @@ namespace {
 double timed_collapse(int threads) {
   auto run = bench::collapse_run_config(16, 4, /*chemistry=*/true,
                                         /*with_dark_matter=*/true);
-  run.config.exec.threads = threads;
-  run.config.exec.backend =
-      threads == 1 ? exec::Backend::kSerial : exec::Backend::kThreadPool;
+  run.config.exec.set_threads(threads);
   core::Simulation sim(run.config);
   core::setup_from_deck(sim, run);
   bench::add_dark_matter(sim, 16, /*total_mass=*/0.1);

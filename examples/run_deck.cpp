@@ -13,8 +13,7 @@
 //
 // Exit codes: 0 success; 1 a deck, restart or output file could not be
 // used (the message says which); 2 a command-line mistake (unknown option,
-// bad --threads/--executor value) or AMR invariant violations under
-// --audit.
+// bad --threads value) or AMR invariant violations under --audit.
 //
 // Telemetry flags (may appear anywhere on the command line):
 //   --trace-out=FILE   write a Chrome trace_event JSON timeline of the run
@@ -26,10 +25,10 @@
 //                      (same as deck key AuditInvariants = 1); any violation
 //                      makes the run exit non-zero
 //
-// Execution flags (override the deck's Threads/Executor keys):
-//   --threads N        run level sweeps on N lanes (1 = serial backend,
-//                      0 = all hardware threads); also --threads=N
-//   --executor=NAME    force the backend: serial or threadpool
+// Execution flag (overrides the deck's Threads key):
+//   --threads N        run level sweeps on N lanes (1 = serial backend, any
+//                      other count the thread pool, 0 = all hardware
+//                      threads); also --threads=N
 //
 // Checkpoint / restart:
 //   --restart          resume from the newest intact snapshot in the deck's
@@ -53,7 +52,6 @@
 
 #include "analysis/analysis.hpp"
 #include "core/parameter_file.hpp"
-#include "exec/exec_config.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
 #include "perf/diagnostics.hpp"
@@ -69,7 +67,7 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
                "usage: %s [--trace-out=FILE] [--diag-out=FILE] [--audit] "
                "[--restart[=PATH]] "
-               "[--threads N] [--executor=serial|threadpool] "
+               "[--threads N] "
                "<parameter-deck> [more decks...]\n",
                argv0);
 }
@@ -97,7 +95,6 @@ int run(int argc, char** argv) {
   bool restart = false;
   std::string restart_path;  // empty: use the deck's CheckpointPath
   int threads_override = -1;  // -1: keep the deck's value
-  std::string executor_override;
   std::vector<const char*> decks;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--help") == 0 || std::strcmp(argv[a], "-h") == 0) {
@@ -123,8 +120,6 @@ int run(int argc, char** argv) {
       if (a + 1 == argc) return usage_error("--threads needs a value");
       threads_arg = argv[++a];
     }
-    else if (std::strncmp(argv[a], "--executor=", 11) == 0)
-      executor_override = argv[a] + 11;
     else if (argv[a][0] == '-')
       return usage_error(std::string("unknown option '") + argv[a] + "'");
     else
@@ -133,13 +128,6 @@ int run(int argc, char** argv) {
       return usage_error(std::string("--threads expects a non-negative "
                                      "integer, got '") +
                          threads_arg + "'");
-  }
-  if (!executor_override.empty()) {
-    try {
-      exec::backend_from_string(executor_override);
-    } catch (const Error& e) {
-      return usage_error(e.what());
-    }
   }
   if (decks.empty()) {
     print_usage(stderr, argv[0]);
@@ -163,15 +151,7 @@ int run(int argc, char** argv) {
     std::printf("==== deck: %s ====\n", deck_path);
     core::ParameterDeck deck = core::parse_parameter_file(deck_path);
     if (audit) deck.config.audit_invariants = true;
-    if (threads_override >= 0) {
-      deck.config.exec.threads = threads_override;
-      if (executor_override.empty())
-        deck.config.exec.backend = threads_override == 1
-                                       ? exec::Backend::kSerial
-                                       : exec::Backend::kThreadPool;
-    }
-    if (!executor_override.empty())
-      deck.config.exec.backend = exec::backend_from_string(executor_override);
+    if (threads_override >= 0) deck.config.exec.set_threads(threads_override);
     std::printf("effective parameters:\n%s\n",
                 core::render_deck(deck).c_str());
     core::Simulation sim(deck.config);

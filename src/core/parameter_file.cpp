@@ -1,9 +1,13 @@
 #include "core/parameter_file.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <vector>
 
 #include "exec/exec_config.hpp"
 #include "problems/registry.hpp"
@@ -21,13 +25,18 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// Shortest round-trip rendering of a double (std::to_chars): re-parsing
+/// the text recovers the bit-identical value, so render/parse cycles are
+/// lossless.
+std::string fmt(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
 struct Parser {
   ParameterDeck deck;
   int line_no = 0;
-  /// Whether an explicit `Executor =` key was seen (a later `Threads = 1`
-  /// must not silently demote an explicitly requested threadpool, nor must
-  /// `Threads = 8` override an explicit `Executor = serial`).
-  bool executor_set = false;
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw enzo::Error("parameter deck line " + std::to_string(line_no) + ": " +
@@ -43,11 +52,23 @@ struct Parser {
     }
     fail("expected a number, got '" + v + "'");
   }
-  int integer(const std::string& v) const {
+  /// An integer in [min, INT_MAX], range-checked before the narrowing cast.
+  int integer(const char* key, const std::string& v, int min) const {
     const double x = num(v);
-    const int i = static_cast<int>(x);
-    if (static_cast<double>(i) != x) fail("expected an integer, got '" + v + "'");
-    return i;
+    if (!(x == std::trunc(x) && x >= min && x <= INT_MAX))
+      fail(std::string(key) + " expects an integer in [" +
+           std::to_string(min) + ", " + std::to_string(INT_MAX) + "], got '" +
+           v + "'");
+    return static_cast<int>(x);
+  }
+  /// An exact unsigned 64-bit decimal (no sign, fraction or exponent).
+  std::uint64_t unsigned64(const char* key, const std::string& v) const {
+    std::uint64_t x = 0;
+    const auto res = std::from_chars(v.data(), v.data() + v.size(), x);
+    if (res.ec != std::errc() || res.ptr != v.data() + v.size())
+      fail(std::string(key) + " expects an unsigned 64-bit integer, got '" +
+           v + "'");
+    return x;
   }
   bool boolean(const std::string& v) const {
     if (v == "1" || v == "true" || v == "yes") return true;
@@ -64,120 +85,213 @@ struct Parser {
       fail("trailing text after dimensions: '" + rest + "'");
     return d;
   }
-
-  void apply(const std::string& key, const std::string& value) {
-    auto& cfg = deck.config;
-    // --- problem selection -----------------------------------------------
-    if (key == "ProblemType") {
-      // Validated against the problem registry, so the accepted names and
-      // this error's listing can never drift from the actual generators.
-      const auto& reg = problems::Registry::global();
-      if (reg.find(value) == nullptr)
-        fail("unknown ProblemType '" + value +
-             "' (registered: " + reg.names_joined() + ")");
-      deck.problem = value;
-      return;
-    }
-    // --- hierarchy ----------------------------------------------------------
-    if (key == "TopGridDimensions") { cfg.hierarchy.root_dims = dims(value); return; }
-    if (key == "RefineBy") { cfg.hierarchy.refine_factor = integer(value); return; }
-    if (key == "MaximumRefinementLevel") { cfg.hierarchy.max_level = integer(value); return; }
-    if (key == "PeriodicBoundary") { cfg.hierarchy.periodic = boolean(value); return; }
-    if (key == "GhostZones") { cfg.hierarchy.nghost = integer(value); return; }
-    if (key == "FlagBufferCells") { cfg.hierarchy.flag_buffer = integer(value); return; }
-    if (key == "ClusterEfficiency") { cfg.hierarchy.cluster.min_efficiency = num(value); return; }
-    // --- refinement criteria -----------------------------------------------
-    if (key == "RefineByBaryonMass") { cfg.refinement.baryon_mass_threshold = num(value); return; }
-    if (key == "RefineByDarkMatterMass") { cfg.refinement.dm_mass_threshold = num(value); return; }
-    if (key == "RefineByJeansLength") { cfg.refinement.jeans_number = num(value); return; }
-    if (key == "RefineByOverdensity") { cfg.refinement.overdensity_threshold = num(value); return; }
-    // --- physics toggles -----------------------------------------------------
-    if (key == "HydroEnabled") { cfg.enable_hydro = boolean(value); return; }
-    if (key == "GravityEnabled") { cfg.enable_gravity = boolean(value); return; }
-    if (key == "ChemistryEnabled") {
-      cfg.enable_chemistry = boolean(value);
-      if (cfg.enable_chemistry) cfg.hierarchy.fields = mesh::chemistry_field_list();
-      return;
-    }
-    if (key == "ParticlesEnabled") { cfg.enable_particles = boolean(value); return; }
-    // --- hydro ---------------------------------------------------------------
-    if (key == "Gamma") { cfg.hydro.gamma = num(value); return; }
-    if (key == "CourantSafetyNumber") { cfg.hydro.cfl = num(value); return; }
-    if (key == "HydroMethod") {
-      if (value == "PPM") cfg.hydro.solver = hydro::Solver::kPpm;
-      else if (value == "Zeus") cfg.hydro.solver = hydro::Solver::kZeus;
-      else fail("unknown HydroMethod '" + value + "' (PPM or Zeus)");
-      return;
-    }
-    if (key == "PPMFlattening") { cfg.hydro.flattening = boolean(value); return; }
-    if (key == "DualEnergyEta") { cfg.hydro.dual_energy_eta1 = num(value); return; }
-    // --- cosmology -------------------------------------------------------------
-    if (key == "ComovingCoordinates") { cfg.comoving = boolean(value); return; }
-    if (key == "HubbleConstantNow") { cfg.frw.hubble = num(value); return; }
-    if (key == "OmegaMatterNow") { cfg.frw.omega_matter = num(value); return; }
-    if (key == "OmegaBaryonNow") { cfg.frw.omega_baryon = num(value); return; }
-    if (key == "OmegaLambdaNow") { cfg.frw.omega_lambda = num(value); return; }
-    if (key == "Sigma8") { cfg.frw.sigma8 = num(value); return; }
-    if (key == "InitialRedshift") { cfg.initial_redshift = num(value); return; }
-    if (key == "ComovingBoxSizeMpc") { deck.comoving_box_mpc = num(value); return; }
-    if (key == "RandomSeed") { deck.cosmology.seed = static_cast<std::uint64_t>(num(value)); return; }
-    if (key == "NestedStaticLevels") { deck.cosmology.nested_static_levels = integer(value); return; }
-    if (key == "ParticlesPerAxis") { deck.cosmology.particles_per_axis = integer(value); return; }
-    // --- collapse problem --------------------------------------------------------
-    if (key == "BoxSizeParsec") {
-      deck.collapse.box_proper_cm = num(value) * constants::kParsec;
-      return;
-    }
-    if (key == "CloudRadius") { deck.collapse.cloud_radius = num(value); return; }
-    if (key == "CloudOverdensity") { deck.collapse.overdensity = num(value); return; }
-    if (key == "BackgroundDensityCGS") { deck.collapse.mean_density_cgs = num(value); return; }
-    if (key == "InitialTemperature") { deck.initial_temperature = num(value); return; }
-    if (key == "InitialIonizationFraction") { deck.initial_ionization = num(value); return; }
-    if (key == "InitialH2Fraction") { deck.initial_h2_fraction = num(value); return; }
-    // --- pancake -------------------------------------------------------------------
-    if (key == "PancakeCausticRedshift") { deck.pancake.a_caustic_redshift = num(value); return; }
-    // --- uniform -------------------------------------------------------------------
-    if (key == "UniformDensity") { deck.uniform_density = num(value); return; }
-    if (key == "UniformInternalEnergy") { deck.uniform_eint = num(value); return; }
-    // --- sedov blast ---------------------------------------------------------------
-    if (key == "SedovEnergy") { deck.sedov.energy = num(value); return; }
-    if (key == "SedovDepositRadius") { deck.sedov.radius = num(value); return; }
-    // --- execution ------------------------------------------------------------------
-    if (key == "Threads") {
-      cfg.exec.threads = integer(value);
-      if (cfg.exec.threads < 0) fail("Threads must be >= 0 (0 = all cores)");
-      // N != 1 implies the caller wants parallelism: auto-select the
-      // threadpool backend unless an explicit Executor key said otherwise.
-      if (!executor_set)
-        cfg.exec.backend = cfg.exec.threads == 1 ? exec::Backend::kSerial
-                                                 : exec::Backend::kThreadPool;
-      return;
-    }
-    if (key == "Executor") {
-      try {
-        cfg.exec.backend = exec::backend_from_string(value);
-      } catch (const enzo::Error&) {
-        fail("unknown Executor '" + value + "' (serial or threadpool)");
-      }
-      executor_set = true;
-      return;
-    }
-    if (key == "PinThreads") { cfg.exec.pin = boolean(value); return; }
-    // --- run control ----------------------------------------------------------------
-    if (key == "StopTime") { deck.stop_time = num(value); return; }
-    if (key == "StopSteps") { deck.stop_steps = integer(value); return; }
-    if (key == "RebuildInterval") { cfg.rebuild_interval = integer(value); return; }
-    if (key == "AuditInvariants") { cfg.audit_invariants = boolean(value); return; }
-    if (key == "AuditInterval") { cfg.audit_interval = integer(value); return; }
-    if (key == "CheckpointPath") { deck.checkpoint_path = value; return; }
-    if (key == "CheckpointInterval") {
-      deck.checkpoint_interval = integer(value);
-      return;
-    }
-    if (key == "CheckpointKeep") { deck.checkpoint_keep = integer(value); return; }
-    fail("unknown parameter '" + key + "'");
-  }
 };
+
+/// One deck key: `set` parses a value into the parser's deck, `get` renders
+/// the deck's value (nullopt: the key is unset).  render_deck emits a key
+/// when it is always rendered or when its text differs from a default
+/// deck's.
+struct Key {
+  const char* name;
+  std::function<void(Parser&, const std::string&)> set;
+  std::function<std::optional<std::string>(const ParameterDeck&)> get;
+  bool always = false;
+};
+
+constexpr bool kAlways = true;
+
+// Row builders for the common value kinds.  `field` maps a (const or
+// mutable) deck to the member the key names.
+template <class Field>
+Key real(const char* name, Field field, bool always = false) {
+  return {name,
+          [field](Parser& p, const std::string& v) { field(p.deck) = p.num(v); },
+          [field](const ParameterDeck& d) -> std::optional<std::string> {
+            return fmt(field(d));
+          },
+          always};
+}
+
+template <class Field>
+Key optional_real(const char* name, Field field) {
+  return {name,
+          [field](Parser& p, const std::string& v) { field(p.deck) = p.num(v); },
+          [field](const ParameterDeck& d) -> std::optional<std::string> {
+            if (!field(d)) return std::nullopt;
+            return fmt(*field(d));
+          }};
+}
+
+template <class Field>
+Key integer(const char* name, Field field, int min = INT_MIN,
+            bool always = false) {
+  return {name,
+          [name, field, min](Parser& p, const std::string& v) {
+            field(p.deck) = p.integer(name, v, min);
+          },
+          [field](const ParameterDeck& d) -> std::optional<std::string> {
+            return std::to_string(field(d));
+          },
+          always};
+}
+
+template <class Field>
+Key flag(const char* name, Field field, bool always = false) {
+  return {name,
+          [field](Parser& p, const std::string& v) {
+            field(p.deck) = p.boolean(v);
+          },
+          [field](const ParameterDeck& d) -> std::optional<std::string> {
+            return field(d) ? "1" : "0";
+          },
+          always};
+}
+
+// The deck member a row reads and writes, for a const or a mutable deck.
+#define DECK_FIELD(path) [](auto& d) -> auto& { return d.path; }
+
+/// Every deck key, in render order.
+const std::vector<Key>& keys() {
+  static const std::vector<Key> table = {
+      {"ProblemType",
+       [](Parser& p, const std::string& v) {
+         // Validated against the problem registry, so the accepted names
+         // and this error's listing can never drift from the generators.
+         const auto& reg = problems::Registry::global();
+         if (reg.find(v) == nullptr)
+           p.fail("unknown ProblemType '" + v +
+                  "' (registered: " + reg.names_joined() + ")");
+         p.deck.problem = v;
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         return d.problem;
+       },
+       kAlways},
+      // --- hierarchy ---------------------------------------------------------
+      {"TopGridDimensions",
+       [](Parser& p, const std::string& v) {
+         p.deck.config.hierarchy.root_dims = p.dims(v);
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         const auto& n = d.config.hierarchy.root_dims;
+         return std::to_string(n[0]) + " " + std::to_string(n[1]) + " " +
+                std::to_string(n[2]);
+       },
+       kAlways},
+      integer("RefineBy", DECK_FIELD(config.hierarchy.refine_factor), INT_MIN,
+              kAlways),
+      integer("MaximumRefinementLevel", DECK_FIELD(config.hierarchy.max_level),
+              0, kAlways),
+      flag("PeriodicBoundary", DECK_FIELD(config.hierarchy.periodic), kAlways),
+      integer("GhostZones", DECK_FIELD(config.hierarchy.nghost)),
+      real("ClusterEfficiency",
+           DECK_FIELD(config.hierarchy.cluster.min_efficiency)),
+      // --- physics toggles ---------------------------------------------------
+      flag("HydroEnabled", DECK_FIELD(config.enable_hydro), kAlways),
+      flag("GravityEnabled", DECK_FIELD(config.enable_gravity), kAlways),
+      {"ChemistryEnabled",
+       [](Parser& p, const std::string& v) {
+         auto& cfg = p.deck.config;
+         cfg.enable_chemistry = p.boolean(v);
+         if (cfg.enable_chemistry)
+           cfg.hierarchy.fields = mesh::chemistry_field_list();
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         return d.config.enable_chemistry ? "1" : "0";
+       },
+       kAlways},
+      flag("ParticlesEnabled", DECK_FIELD(config.enable_particles), kAlways),
+      // --- hydro -------------------------------------------------------------
+      real("Gamma", DECK_FIELD(config.hydro.gamma), kAlways),
+      real("CourantSafetyNumber", DECK_FIELD(config.hydro.cfl), kAlways),
+      {"HydroMethod",
+       [](Parser& p, const std::string& v) {
+         auto& solver = p.deck.config.hydro.solver;
+         if (v == "PPM") solver = hydro::Solver::kPpm;
+         else if (v == "Zeus") solver = hydro::Solver::kZeus;
+         else p.fail("unknown HydroMethod '" + v + "' (PPM or Zeus)");
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         return d.config.hydro.solver == hydro::Solver::kPpm ? "PPM" : "Zeus";
+       },
+       kAlways},
+      flag("PPMFlattening", DECK_FIELD(config.hydro.flattening)),
+      // --- refinement criteria -----------------------------------------------
+      real("RefineByBaryonMass",
+           DECK_FIELD(config.refinement.baryon_mass_threshold)),
+      real("RefineByDarkMatterMass",
+           DECK_FIELD(config.refinement.dm_mass_threshold)),
+      real("RefineByJeansLength", DECK_FIELD(config.refinement.jeans_number)),
+      real("RefineByOverdensity",
+           DECK_FIELD(config.refinement.overdensity_threshold)),
+      // --- cosmology ---------------------------------------------------------
+      flag("ComovingCoordinates", DECK_FIELD(config.comoving)),
+      real("HubbleConstantNow", DECK_FIELD(config.frw.hubble)),
+      real("OmegaMatterNow", DECK_FIELD(config.frw.omega_matter)),
+      real("OmegaBaryonNow", DECK_FIELD(config.frw.omega_baryon)),
+      real("OmegaLambdaNow", DECK_FIELD(config.frw.omega_lambda)),
+      real("Sigma8", DECK_FIELD(config.frw.sigma8)),
+      real("InitialRedshift", DECK_FIELD(config.initial_redshift)),
+      optional_real("ComovingBoxSizeMpc", DECK_FIELD(comoving_box_mpc)),
+      {"RandomSeed",
+       [](Parser& p, const std::string& v) {
+         p.deck.cosmology.seed = p.unsigned64("RandomSeed", v);
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         return std::to_string(d.cosmology.seed);
+       }},
+      integer("NestedStaticLevels", DECK_FIELD(cosmology.nested_static_levels)),
+      // --- collapse problem --------------------------------------------------
+      {"BoxSizeParsec",
+       [](Parser& p, const std::string& v) {
+         p.deck.collapse.box_proper_cm = p.num(v) * constants::kParsec;
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         return fmt(d.collapse.box_proper_cm / constants::kParsec);
+       }},
+      real("CloudRadius", DECK_FIELD(collapse.cloud_radius)),
+      real("CloudOverdensity", DECK_FIELD(collapse.overdensity)),
+      real("BackgroundDensityCGS", DECK_FIELD(collapse.mean_density_cgs)),
+      optional_real("InitialTemperature", DECK_FIELD(initial_temperature)),
+      optional_real("InitialIonizationFraction",
+                    DECK_FIELD(initial_ionization)),
+      optional_real("InitialH2Fraction", DECK_FIELD(initial_h2_fraction)),
+      // --- pancake / uniform / sedov -----------------------------------------
+      real("PancakeCausticRedshift", DECK_FIELD(pancake.a_caustic_redshift)),
+      real("UniformDensity", DECK_FIELD(uniform_density)),
+      real("UniformInternalEnergy", DECK_FIELD(uniform_eint)),
+      real("SedovEnergy", DECK_FIELD(sedov.energy)),
+      real("SedovDepositRadius", DECK_FIELD(sedov.radius)),
+      // --- execution and run control -----------------------------------------
+      flag("AuditInvariants", DECK_FIELD(config.audit_invariants)),
+      integer("AuditInterval", DECK_FIELD(config.audit_interval), 1),
+      {"Threads",
+       [](Parser& p, const std::string& v) {
+         p.deck.config.exec.set_threads(p.integer("Threads", v, 0));
+       },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         // Only a backend that follows the lane count is a deck value: the
+         // default (serial, threads 0) has no Threads line.
+         exec::ExecConfig e;
+         e.set_threads(d.config.exec.threads);
+         if (e.backend != d.config.exec.backend) return std::nullopt;
+         return std::to_string(d.config.exec.threads);
+       }},
+      integer("RebuildInterval", DECK_FIELD(config.rebuild_interval), 1),
+      integer("StopSteps", DECK_FIELD(stop_steps), 0, kAlways),
+      real("StopTime", DECK_FIELD(stop_time)),
+      {"CheckpointPath",
+       [](Parser& p, const std::string& v) { p.deck.checkpoint_path = v; },
+       [](const ParameterDeck& d) -> std::optional<std::string> {
+         return d.checkpoint_path;
+       }},
+      integer("CheckpointInterval", DECK_FIELD(checkpoint_interval), 0),
+      integer("CheckpointKeep", DECK_FIELD(checkpoint_keep)),
+  };
+  return table;
+}
+
+#undef DECK_FIELD
 
 }  // namespace
 
@@ -196,7 +310,11 @@ ParameterDeck parse_parameter_deck(std::istream& in) {
     const std::string value = trim(line.substr(eq + 1));
     if (key.empty()) p.fail("empty key");
     if (value.empty()) p.fail("empty value for '" + key + "'");
-    p.apply(key, value);
+    const auto& table = keys();
+    const auto row = std::find_if(table.begin(), table.end(),
+                                  [&](const Key& k) { return key == k.name; });
+    if (row == table.end()) p.fail("unknown parameter '" + key + "'");
+    row->set(p, value);
   }
   return std::move(p.deck);
 }
@@ -221,142 +339,15 @@ void configure_from_deck(Simulation& sim, const ParameterDeck& deck) {
   sim.configure_for_restart(deck_problem_setup(deck));
 }
 
-namespace {
-
-/// Shortest round-trip rendering of a double (std::to_chars): re-parsing
-/// the text recovers the bit-identical value, so render/parse cycles are
-/// lossless — the old 6-significant-digit rendering turned 5/3 into
-/// "1.66667" and silently perturbed every re-parsed config.
-std::string fmt(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-}  // namespace
-
 std::string render_deck(const ParameterDeck& deck) {
-  std::ostringstream os;
-  const auto& cfg = deck.config;
-  // Compare against the parser's starting state, so render emits exactly
-  // the keys a deck would need to reproduce this configuration.
-  const ParameterDeck d0;
-  const auto& c0 = d0.config;
-
-  os << "ProblemType = " << deck.problem << "\n";
-  os << "TopGridDimensions = " << cfg.hierarchy.root_dims[0] << " "
-     << cfg.hierarchy.root_dims[1] << " " << cfg.hierarchy.root_dims[2]
-     << "\n";
-  os << "RefineBy = " << cfg.hierarchy.refine_factor << "\n";
-  os << "MaximumRefinementLevel = " << cfg.hierarchy.max_level << "\n";
-  os << "PeriodicBoundary = " << (cfg.hierarchy.periodic ? 1 : 0) << "\n";
-  if (cfg.hierarchy.nghost != c0.hierarchy.nghost)
-    os << "GhostZones = " << cfg.hierarchy.nghost << "\n";
-  if (cfg.hierarchy.flag_buffer != c0.hierarchy.flag_buffer)
-    os << "FlagBufferCells = " << cfg.hierarchy.flag_buffer << "\n";
-  if (cfg.hierarchy.cluster.min_efficiency !=
-      c0.hierarchy.cluster.min_efficiency)
-    os << "ClusterEfficiency = " << fmt(cfg.hierarchy.cluster.min_efficiency)
-       << "\n";
-  os << "HydroEnabled = " << (cfg.enable_hydro ? 1 : 0) << "\n";
-  os << "GravityEnabled = " << (cfg.enable_gravity ? 1 : 0) << "\n";
-  os << "ChemistryEnabled = " << (cfg.enable_chemistry ? 1 : 0) << "\n";
-  os << "ParticlesEnabled = " << (cfg.enable_particles ? 1 : 0) << "\n";
-  os << "Gamma = " << fmt(cfg.hydro.gamma) << "\n";
-  os << "CourantSafetyNumber = " << fmt(cfg.hydro.cfl) << "\n";
-  os << "HydroMethod = "
-     << (cfg.hydro.solver == hydro::Solver::kPpm ? "PPM" : "Zeus") << "\n";
-  if (cfg.hydro.flattening != c0.hydro.flattening)
-    os << "PPMFlattening = " << (cfg.hydro.flattening ? 1 : 0) << "\n";
-  if (cfg.hydro.dual_energy_eta1 != c0.hydro.dual_energy_eta1)
-    os << "DualEnergyEta = " << fmt(cfg.hydro.dual_energy_eta1) << "\n";
-  if (cfg.refinement.baryon_mass_threshold > 0)
-    os << "RefineByBaryonMass = " << fmt(cfg.refinement.baryon_mass_threshold)
-       << "\n";
-  if (cfg.refinement.dm_mass_threshold > 0)
-    os << "RefineByDarkMatterMass = " << fmt(cfg.refinement.dm_mass_threshold)
-       << "\n";
-  if (cfg.refinement.jeans_number > 0)
-    os << "RefineByJeansLength = " << fmt(cfg.refinement.jeans_number) << "\n";
-  if (cfg.refinement.overdensity_threshold > 0)
-    os << "RefineByOverdensity = " << fmt(cfg.refinement.overdensity_threshold)
-       << "\n";
-  if (cfg.comoving) os << "ComovingCoordinates = 1\n";
-  if (cfg.frw.hubble != c0.frw.hubble)
-    os << "HubbleConstantNow = " << fmt(cfg.frw.hubble) << "\n";
-  if (cfg.frw.omega_matter != c0.frw.omega_matter)
-    os << "OmegaMatterNow = " << fmt(cfg.frw.omega_matter) << "\n";
-  if (cfg.frw.omega_baryon != c0.frw.omega_baryon)
-    os << "OmegaBaryonNow = " << fmt(cfg.frw.omega_baryon) << "\n";
-  if (cfg.frw.omega_lambda != c0.frw.omega_lambda)
-    os << "OmegaLambdaNow = " << fmt(cfg.frw.omega_lambda) << "\n";
-  if (cfg.frw.sigma8 != c0.frw.sigma8)
-    os << "Sigma8 = " << fmt(cfg.frw.sigma8) << "\n";
-  if (cfg.initial_redshift != c0.initial_redshift)
-    os << "InitialRedshift = " << fmt(cfg.initial_redshift) << "\n";
-  if (deck.comoving_box_mpc)
-    os << "ComovingBoxSizeMpc = " << fmt(*deck.comoving_box_mpc) << "\n";
-  if (deck.cosmology.seed != d0.cosmology.seed)
-    os << "RandomSeed = " << deck.cosmology.seed << "\n";
-  if (deck.cosmology.nested_static_levels != d0.cosmology.nested_static_levels)
-    os << "NestedStaticLevels = " << deck.cosmology.nested_static_levels
-       << "\n";
-  if (deck.cosmology.particles_per_axis != d0.cosmology.particles_per_axis)
-    os << "ParticlesPerAxis = " << deck.cosmology.particles_per_axis << "\n";
-  // --- collapse problem ---
-  if (deck.collapse.box_proper_cm != d0.collapse.box_proper_cm)
-    os << "BoxSizeParsec = "
-       << fmt(deck.collapse.box_proper_cm / constants::kParsec) << "\n";
-  if (deck.collapse.cloud_radius != d0.collapse.cloud_radius)
-    os << "CloudRadius = " << fmt(deck.collapse.cloud_radius) << "\n";
-  if (deck.collapse.overdensity != d0.collapse.overdensity)
-    os << "CloudOverdensity = " << fmt(deck.collapse.overdensity) << "\n";
-  if (deck.collapse.mean_density_cgs != d0.collapse.mean_density_cgs)
-    os << "BackgroundDensityCGS = " << fmt(deck.collapse.mean_density_cgs)
-       << "\n";
-  if (deck.initial_temperature)
-    os << "InitialTemperature = " << fmt(*deck.initial_temperature) << "\n";
-  if (deck.initial_ionization)
-    os << "InitialIonizationFraction = " << fmt(*deck.initial_ionization)
-       << "\n";
-  if (deck.initial_h2_fraction)
-    os << "InitialH2Fraction = " << fmt(*deck.initial_h2_fraction) << "\n";
-  // --- pancake / uniform / sedov ---
-  if (deck.pancake.a_caustic_redshift != d0.pancake.a_caustic_redshift)
-    os << "PancakeCausticRedshift = " << fmt(deck.pancake.a_caustic_redshift)
-       << "\n";
-  if (deck.uniform_density != d0.uniform_density)
-    os << "UniformDensity = " << fmt(deck.uniform_density) << "\n";
-  if (deck.uniform_eint != d0.uniform_eint)
-    os << "UniformInternalEnergy = " << fmt(deck.uniform_eint) << "\n";
-  if (deck.sedov.energy != d0.sedov.energy)
-    os << "SedovEnergy = " << fmt(deck.sedov.energy) << "\n";
-  if (deck.sedov.radius != d0.sedov.radius)
-    os << "SedovDepositRadius = " << fmt(deck.sedov.radius) << "\n";
-  if (cfg.audit_invariants) {
-    os << "AuditInvariants = 1\n";
-    if (cfg.audit_interval != 1)
-      os << "AuditInterval = " << cfg.audit_interval << "\n";
+  const ParameterDeck defaults;
+  std::string out;
+  for (const Key& k : keys()) {
+    const std::optional<std::string> text = k.get(deck);
+    if (!text || (!k.always && text == k.get(defaults))) continue;
+    out += std::string(k.name) + " = " + *text + "\n";
   }
-  if (cfg.exec.backend != exec::Backend::kSerial || cfg.exec.threads != 0) {
-    // Executor before Threads so a re-parse sees the explicit backend and
-    // never re-applies the Threads auto-selection.
-    os << "Executor = " << exec::backend_name(cfg.exec.backend) << "\n";
-    if (cfg.exec.threads != 0) os << "Threads = " << cfg.exec.threads << "\n";
-  }
-  if (cfg.exec.pin) os << "PinThreads = 1\n";
-  if (cfg.rebuild_interval != c0.rebuild_interval)
-    os << "RebuildInterval = " << cfg.rebuild_interval << "\n";
-  os << "StopSteps = " << deck.stop_steps << "\n";
-  if (deck.stop_time != d0.stop_time)
-    os << "StopTime = " << fmt(deck.stop_time) << "\n";
-  if (!deck.checkpoint_path.empty())
-    os << "CheckpointPath = " << deck.checkpoint_path << "\n";
-  if (deck.checkpoint_interval != d0.checkpoint_interval)
-    os << "CheckpointInterval = " << deck.checkpoint_interval << "\n";
-  if (deck.checkpoint_keep != d0.checkpoint_keep)
-    os << "CheckpointKeep = " << deck.checkpoint_keep << "\n";
-  return os.str();
+  return out;
 }
 
 }  // namespace enzo::core

@@ -24,10 +24,15 @@
 // ProblemType" error lists exactly the registered names, so the accepted
 // set can never drift from the actual generators.
 //
-// See `parse_parameter_file` for the full key list; render_deck() is the
-// exact inverse of the parser (every non-default value is emitted with
+// Each key is one row of the key table in parameter_file.cpp (the full key
+// list): the row parses the value and renders it back, so render_deck() is
+// the exact inverse of the parser (every non-default value is emitted with
 // round-trip float precision), pinned by the deck round-trip suite in
-// tests/deck_test.cpp.
+// tests/deck_test.cpp.  Integer keys are range-checked (RebuildInterval and
+// AuditInterval >= 1; Threads, StopSteps, MaximumRefinementLevel and
+// CheckpointInterval >= 0) and RandomSeed is an exact unsigned 64-bit
+// decimal.  `Threads = N` also picks the execution backend: 1 is serial,
+// any other count (0 = all hardware threads) is the thread pool.
 
 #include <cstdint>
 #include <iosfwd>
@@ -51,8 +56,7 @@ struct CollapseOptions {
 
 /// Cosmology-box options (problem `Cosmology`).
 struct CosmologyOptions {
-  std::uint64_t seed = 2001;   ///< deck key RandomSeed
-  int particles_per_axis = 0;  ///< 0 → same as root dims; ParticlesPerAxis
+  std::uint64_t seed = 2001;  ///< deck key RandomSeed
   /// Nested static levels covering the central half-box (each level halves
   /// the covered region, like the paper's zoom-in region);
   /// NestedStaticLevels.
@@ -127,8 +131,8 @@ void configure_from_deck(Simulation& sim, const ParameterDeck& deck);
 
 /// Render the effective deck back to text.  Exact inverse of the parser:
 /// re-parsing the result reproduces the deck (round-trip float formatting;
-/// values equal to the deck defaults are omitted, a fixed always-emitted
-/// core set excepted).
+/// keys whose text equals a default deck's are omitted, a fixed
+/// always-emitted core set excepted).
 std::string render_deck(const ParameterDeck& deck);
 
 }  // namespace enzo::core

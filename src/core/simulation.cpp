@@ -71,7 +71,7 @@ void Simulation::initialize(const ProblemSetup& setup) {
 exec::LevelExecutor& Simulation::executor() {
   const exec::ExecConfig& want = cfg_.exec;
   if (!exec_ || exec_built_.backend != want.backend ||
-      exec_built_.threads != want.threads || exec_built_.pin != want.pin) {
+      exec_built_.threads != want.threads) {
     exec_ = exec::make_executor(want);
     exec_built_ = want;
   }

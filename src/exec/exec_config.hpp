@@ -1,10 +1,8 @@
 #pragma once
 // Execution-backend selection: one struct threaded from the parameter deck
-// (`Threads = 8`, `Executor = threadpool`) or `run_deck --threads N` through
-// SimulationConfig to the LevelExecutor factory, replacing the old
-// env-var-only OMP_NUM_THREADS control.
-
-#include <string>
+// (`Threads = 8`) or `run_deck --threads N` through SimulationConfig to the
+// LevelExecutor factory.  The lane count picks the backend (set_threads):
+// one lane runs serially, any other count runs on the thread pool.
 
 namespace enzo::exec {
 
@@ -18,13 +16,13 @@ struct ExecConfig {
   /// Total execution lanes (workers + participating caller); 0 means all
   /// hardware threads.
   int threads = 0;
-  /// Pin workers to cores (Linux only; ignored elsewhere).
-  bool pin = false;
-};
 
-/// "serial" | "threadpool" (case-sensitive, like deck keys).  Throws
-/// enzo::Error on anything else.
-Backend backend_from_string(const std::string& s);
-const char* backend_name(Backend b);
+  /// Set the lane count and the backend it selects: 1 lane is serial, any
+  /// other count (0 = all hardware threads) is the thread pool.
+  void set_threads(int n) {
+    threads = n;
+    backend = n == 1 ? Backend::kSerial : Backend::kThreadPool;
+  }
+};
 
 }  // namespace enzo::exec

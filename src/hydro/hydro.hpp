@@ -33,8 +33,6 @@ struct HydroParams {
   Solver solver = Solver::kPpm;
   double gamma = 5.0 / 3.0;
   double cfl = 0.4;
-  /// Dual-energy selection: use (E − v²/2) when it exceeds eta1 × E.
-  double dual_energy_eta1 = 1e-3;
   double density_floor = 1e-30;
   double pressure_floor = 1e-30;
   /// PPM shock flattening on/off.

@@ -24,6 +24,9 @@ using mesh::Grid;
 
 namespace {
 
+/// Dual-energy selection: use (E − v²/2) when it exceeds eta1 × E.
+constexpr double kDualEnergyEta1 = 1e-3;
+
 constexpr Field kVel[3] = {Field::kVelocityX, Field::kVelocityY,
                            Field::kVelocityZ};
 
@@ -296,7 +299,7 @@ ENZO_HOT void dual_energy_sync(Grid& g, const HydroParams& hp) {
                           vy(i, j, k) * vy(i, j, k) +
                           vz(i, j, k) * vz(i, j, k);
         const double ei_tot = etot(i, j, k) - 0.5 * v2;
-        if (ei_tot > hp.dual_energy_eta1 * etot(i, j, k) && ei_tot > 0.0) {
+        if (ei_tot > kDualEnergyEta1 * etot(i, j, k) && ei_tot > 0.0) {
           eint(i, j, k) = ei_tot;
         } else if (etot(i, j, k) <= 0.0 || ei_tot <= 0.0) {
           // Repair a kinetically-dominated or corrupted total energy.

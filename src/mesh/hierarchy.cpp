@@ -14,6 +14,9 @@
 namespace enzo::mesh {
 
 namespace {
+/// Cells of padding added around flagged regions before clustering.
+constexpr int kFlagBuffer = 1;
+
 /// Pack an Index3 into a hashable key (coordinates fit easily in 21 bits at
 /// any depth we can afford to store flags for).
 std::uint64_t key_of(const Index3& p) {
@@ -258,9 +261,9 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     }
 
     // ---- buffer + dedupe ----------------------------------------------------
-    if (params_.flag_buffer > 0 && !flags.empty()) {
+    if (!flags.empty()) {
       const Index3 pdims = level_dims(l - 1);
-      const int b = params_.flag_buffer;
+      const int b = kFlagBuffer;
       std::vector<Index3> grown;
       grown.reserve(flags.size() * 8);
       for (const Index3& p : flags)

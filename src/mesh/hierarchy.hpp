@@ -37,7 +37,6 @@ struct HierarchyParams {
   std::vector<Field> fields = hydro_field_list();
   bool periodic = true;  ///< root boundary: periodic, else outflow
   ClusterParams cluster;
-  int flag_buffer = 1;   ///< cells of padding around flagged regions
   std::int64_t min_grid_cells = 8;  ///< discard degenerate slivers
 };
 

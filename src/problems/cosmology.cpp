@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "chemistry/chemistry.hpp"
 #include "cosmology/grf.hpp"
@@ -63,6 +64,38 @@ void fill_gas_from_realization(Grid& g, const cosmology::GrfOutput& real,
       }
 }
 
+/// What both the fill and the refine hook derive from the config to realize
+/// the initial conditions.  The generator refers to frw and ps, so the
+/// object is built in place and never copied or moved.
+struct InitialConditions {
+  InitialConditions(const core::SimulationConfig& cfg, double box_cm,
+                    std::uint64_t seed)
+      : frw(cfg.frw), ps(frw), gen(frw, ps, box_cm, seed) {
+    const double a_i = cosmology::Frw::a_of_z(cfg.initial_redshift);
+    growth = frw.growth_factor(a_i);
+    // Note: the velocity factor already contains D(a_i) (v = a D f H ψ).
+    vfac = cosmology::zeldovich_velocity_factor(frw, cfg.units, a_i);
+    // Gas temperature: CMB-coupled until z ≈ 100, adiabatic (∝ a⁻²) after.
+    const double z_i = cfg.initial_redshift;
+    const double T_i = z_i >= 100.0
+                           ? cn::kTcmb0 * (1.0 + z_i)
+                           : cn::kTcmb0 * 101.0 *
+                                 std::pow((1.0 + z_i) / 101.0, 2.0);
+    fb = cfg.frw.omega_baryon / cfg.frw.omega_matter;
+    e0 = detail::eint_code(T_i, 1.22, cfg.hydro.gamma, cfg.units);
+  }
+  InitialConditions(const InitialConditions&) = delete;
+  InitialConditions& operator=(const InitialConditions&) = delete;
+
+  cosmology::Frw frw;
+  cosmology::PowerSpectrum ps;
+  cosmology::InitialConditionsGenerator gen;
+  double growth = 0.0;  ///< linear growth D(a_i)
+  double vfac = 0.0;    ///< ψ → peculiar velocity (code units)
+  double fb = 0.0;      ///< baryon fraction Ω_b / Ω_m
+  double e0 = 0.0;      ///< initial specific internal energy (code units)
+};
+
 /// Comoving CDM box; cfg.hierarchy.root_dims, frw and initial_redshift
 /// must be set.  Fills cfg.units, builds the root grid, fields and
 /// particles, and (if requested) the nested static levels with
@@ -86,42 +119,22 @@ core::ProblemSetup cosmology_setup(const core::ParameterDeck& d) {
   });
   setup.fill([opt, box_cm, ionization, h2_fraction](core::Simulation& sim) {
     auto& cfg = sim.config();
-    cosmology::Frw frw(cfg.frw);
-    const double a_i = cosmology::Frw::a_of_z(cfg.initial_redshift);
-    cosmology::PowerSpectrum ps(frw);
-    cosmology::InitialConditionsGenerator gen(frw, ps, box_cm, opt.seed);
-    const double growth = frw.growth_factor(a_i);
-    // Note: the velocity factor already contains D(a_i) (v = a D f H ψ).
-    const double vfac =
-        cosmology::zeldovich_velocity_factor(frw, cfg.units, a_i);
-
-    // Gas temperature: CMB-coupled until z ≈ 100, adiabatic (∝ a⁻²) after.
-    const double z_i = cfg.initial_redshift;
-    const double T_i = z_i >= 100.0
-                           ? cn::kTcmb0 * (1.0 + z_i)
-                           : cn::kTcmb0 * 101.0 *
-                                 std::pow((1.0 + z_i) / 101.0, 2.0);
-    const double fb = cfg.frw.omega_baryon / cfg.frw.omega_matter;
-
+    const InitialConditions ic(cfg, box_cm, opt.seed);
     const int n_root = static_cast<int>(cfg.hierarchy.root_dims[0]);
-    auto real0 = gen.realize(n_root, {0, 0, 0}, 1.0);
-    const double e0 = detail::eint_code(T_i, 1.22, cfg.hydro.gamma, cfg.units);
+    auto real0 = ic.gen.realize(n_root, {0, 0, 0}, 1.0);
     for (Grid* g : sim.hierarchy().grids(0)) {
-      fill_gas_from_realization(*g, real0, growth, vfac, fb, e0);
+      fill_gas_from_realization(*g, real0, ic.growth, ic.vfac, ic.fb, ic.e0);
       if (cfg.enable_chemistry)
         chemistry::initialize_primordial_composition(
             *g, cfg.chemistry, ionization, h2_fraction);
     }
 
-    // Dark matter lattice with the same displacement field.
-    if (cfg.enable_particles) {
-      const int n_p =
-          opt.particles_per_axis > 0 ? opt.particles_per_axis : n_root;
-      const auto real_p =
-          n_p == n_root ? real0 : gen.realize(n_p, {0, 0, 0}, 1.0);
-      nbody::create_lattice_particles(*sim.hierarchy().grids(0)[0], n_p,
-                                      real_p.psi, growth, vfac, 1.0 - fb);
-    }
+    // Dark matter lattice with the same displacement field, one particle
+    // per root cell.
+    if (cfg.enable_particles)
+      nbody::create_lattice_particles(*sim.hierarchy().grids(0)[0], n_root,
+                                      real0.psi, ic.growth, ic.vfac,
+                                      1.0 - ic.fb);
 
     // Nested static levels over a shrinking central region (§4).
     const int r = cfg.hierarchy.refine_factor;
@@ -138,27 +151,15 @@ core::ProblemSetup cosmology_setup(const core::ParameterDeck& d) {
   // ("capture as many small-wavelength modes ... as possible").
   setup.refine([opt, box_cm, ionization, h2_fraction](core::Simulation& sim) {
     auto& cfg = sim.config();
-    cosmology::Frw frw(cfg.frw);
-    const double a_i = cosmology::Frw::a_of_z(cfg.initial_redshift);
-    cosmology::PowerSpectrum ps(frw);
-    cosmology::InitialConditionsGenerator gen(frw, ps, box_cm, opt.seed);
-    const double growth = frw.growth_factor(a_i);
-    const double vfac =
-        cosmology::zeldovich_velocity_factor(frw, cfg.units, a_i);
-    const double z_i = cfg.initial_redshift;
-    const double T_i = z_i >= 100.0
-                           ? cn::kTcmb0 * (1.0 + z_i)
-                           : cn::kTcmb0 * 101.0 *
-                                 std::pow((1.0 + z_i) / 101.0, 2.0);
-    const double fb = cfg.frw.omega_baryon / cfg.frw.omega_matter;
-    const double e0 = detail::eint_code(T_i, 1.22, cfg.hydro.gamma, cfg.units);
+    const InitialConditions ic(cfg, box_cm, opt.seed);
     for (int l = 1; l <= std::min(opt.nested_static_levels,
                                   sim.hierarchy().deepest_level());
          ++l) {
       const int n_eff = static_cast<int>(sim.hierarchy().level_dims(l)[0]);
-      auto real_l = gen.realize(n_eff, {0, 0, 0}, 1.0);
+      auto real_l = ic.gen.realize(n_eff, {0, 0, 0}, 1.0);
       for (Grid* g : sim.hierarchy().grids(l)) {
-        fill_gas_from_realization(*g, real_l, growth, vfac, fb, e0);
+        fill_gas_from_realization(*g, real_l, ic.growth, ic.vfac, ic.fb,
+                                  ic.e0);
         if (cfg.enable_chemistry)
           chemistry::initialize_primordial_composition(
               *g, cfg.chemistry, ionization, h2_fraction);

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/parameter_file.hpp"
 #include "util/constants.hpp"
@@ -218,9 +222,14 @@ StopSteps              = 5
 
 TEST(Deck, RemovedStorageAndTopologyKeysAreUnknown) {
   // Pooled storage, incremental regrid and the overlap-topology cache are
-  // the only paths, so the keys that once switched them are unknown.
+  // the only paths, so the keys that once switched them are unknown.  The
+  // backend follows Threads, worker pinning, the particle lattice size, the
+  // dual-energy threshold and the flag buffer are fixed, so their keys are
+  // unknown too.
   for (const std::string key :
-       {"ArenaMode", "BlockGranularity", "UseOverlapTopology"}) {
+       {"ArenaMode", "BlockGranularity", "UseOverlapTopology", "Executor",
+        "PinThreads", "ParticlesPerAxis", "DualEnergyEta",
+        "FlagBufferCells"}) {
     try {
       parse("Gamma = 1.4\n" + key + " = 1\n");
       ADD_FAILURE() << key << " should be rejected";
@@ -229,6 +238,143 @@ TEST(Deck, RemovedStorageAndTopologyKeysAreUnknown) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(Deck, EveryKeyRoundTripsANonDefaultValue) {
+  // One non-default value per deck key, in render order.  `rendered` is the
+  // value's canonical text where it differs from the input.
+  struct Entry {
+    const char* key;
+    const char* value;
+    const char* rendered = nullptr;
+  };
+  const std::vector<Entry> entries = {
+      {"ProblemType", "SodTube"},
+      {"TopGridDimensions", "16 8", "16 8 1"},
+      {"RefineBy", "4"},
+      {"MaximumRefinementLevel", "3"},
+      {"PeriodicBoundary", "false", "0"},
+      {"GhostZones", "5"},
+      {"ClusterEfficiency", "0.55"},
+      {"HydroEnabled", "0"},
+      {"GravityEnabled", "yes", "1"},
+      {"ChemistryEnabled", "1"},
+      {"ParticlesEnabled", "1"},
+      {"Gamma", "1.4"},
+      {"CourantSafetyNumber", "0.3"},
+      {"HydroMethod", "Zeus"},
+      {"PPMFlattening", "0"},
+      {"RefineByBaryonMass", "0.001"},
+      {"RefineByDarkMatterMass", "0.0009", "9e-04"},
+      {"RefineByJeansLength", "4"},
+      {"RefineByOverdensity", "1.5"},
+      {"ComovingCoordinates", "1"},
+      {"HubbleConstantNow", "0.7"},
+      {"OmegaMatterNow", "0.3"},
+      {"OmegaBaryonNow", "0.04"},
+      {"OmegaLambdaNow", "0.7"},
+      {"Sigma8", "0.9"},
+      {"InitialRedshift", "50"},
+      {"ComovingBoxSizeMpc", "0.25"},
+      {"RandomSeed", "12345"},
+      {"NestedStaticLevels", "2"},
+      {"BoxSizeParsec", "4"},
+      {"CloudRadius", "0.25"},
+      {"CloudOverdensity", "10"},
+      {"BackgroundDensityCGS", "1e-19"},
+      {"InitialTemperature", "300"},
+      {"InitialIonizationFraction", "0.0002", "2e-04"},
+      {"InitialH2Fraction", "5e-06"},
+      {"PancakeCausticRedshift", "2"},
+      {"UniformDensity", "2.5"},
+      {"UniformInternalEnergy", "0.7"},
+      {"SedovEnergy", "2"},
+      {"SedovDepositRadius", "0.1"},
+      {"AuditInvariants", "1"},
+      {"AuditInterval", "3"},
+      {"Threads", "4"},
+      {"RebuildInterval", "2"},
+      {"StopSteps", "7"},
+      {"StopTime", "0.5"},
+      {"CheckpointPath", "ckpt/run"},
+      {"CheckpointInterval", "16"},
+      {"CheckpointKeep", "2"},
+  };
+  std::set<std::string> distinct;
+  std::string all_in, all_out;
+  for (const Entry& e : entries) {
+    SCOPED_TRACE(e.key);
+    distinct.insert(e.key);
+    const std::string in = std::string(e.key) + " = " + e.value + "\n";
+    const std::string line =
+        std::string(e.key) + " = " + (e.rendered ? e.rendered : e.value) +
+        "\n";
+    all_in += in;
+    all_out += line;
+    // The field holds the value: render reads it back as the same line,
+    // and parse∘render is a fixpoint.
+    const std::string r1 = core::render_deck(parse(in));
+    EXPECT_NE(r1.find(line), std::string::npos) << r1;
+    EXPECT_EQ(core::render_deck(parse(r1)), r1);
+  }
+  EXPECT_EQ(distinct.size(), 50u) << "one entry per deck key";
+  // All keys in one deck: every line is emitted, in table order, and
+  // nothing else is.
+  EXPECT_EQ(core::render_deck(parse(all_in)), all_out);
+
+  // The lane count picks the backend, and `Threads = 0` (all hardware
+  // threads on the pool) is not confused with the serial default.
+  for (const auto& [threads, backend] :
+       {std::pair{"0", exec::Backend::kThreadPool},
+        std::pair{"1", exec::Backend::kSerial},
+        std::pair{"4", exec::Backend::kThreadPool}}) {
+    const auto d = parse(core::render_deck(
+        parse(std::string("Threads = ") + threads + "\n")));
+    EXPECT_EQ(d.config.exec.threads, std::stoi(threads));
+    EXPECT_EQ(d.config.exec.backend, backend) << threads;
+  }
+  EXPECT_EQ(core::render_deck(ParameterDeck{}).find("Threads"),
+            std::string::npos);
+}
+
+TEST(Deck, OutOfRangeIntegersRejected) {
+  // Values below a key's minimum, beyond int, or not exact are deck errors
+  // with the line number and the key, never a crash or a silent wrap.
+  for (const char* text :
+       {"RebuildInterval = 0", "RebuildInterval = -2", "AuditInterval = 0",
+        "Threads = -1", "StopSteps = -1", "MaximumRefinementLevel = -1",
+        "CheckpointInterval = -4", "StopSteps = 1e10",
+        "GhostZones = 9007199254740993", "RefineBy = nan",
+        "RandomSeed = -5", "RandomSeed = 18446744073709551616",
+        "RandomSeed = 2001.5", "RandomSeed = 1e3"}) {
+    SCOPED_TRACE(text);
+    const std::string t = text;
+    const std::string key = t.substr(0, t.find(' '));
+    try {
+      parse("Gamma = 1.4\n" + t + "\n");
+      ADD_FAILURE() << "should be rejected";
+    } catch (const enzo::Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("parameter deck line 2: " + key), std::string::npos)
+          << msg;
+    }
+  }
+  // The minimums themselves are accepted.
+  const auto d = parse(
+      "RebuildInterval = 1\nAuditInterval = 1\nThreads = 0\n"
+      "StopSteps = 0\nMaximumRefinementLevel = 0\nCheckpointInterval = 0\n");
+  EXPECT_EQ(d.config.rebuild_interval, 1);
+  EXPECT_EQ(d.stop_steps, 0);
+  // RandomSeed is exact over the whole unsigned 64-bit range, including
+  // values a double cannot hold.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{9007199254740993ULL},
+        std::uint64_t{18446744073709551615ULL}}) {
+    const std::string text = "RandomSeed = " + std::to_string(seed) + "\n";
+    const auto s = parse(text);
+    EXPECT_EQ(s.cosmology.seed, seed);
+    EXPECT_EQ(parse(core::render_deck(s)).cosmology.seed, seed);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -166,11 +167,18 @@ TEST(ExecutorTest, MakeExecutorRespectsBackend) {
 }
 
 TEST(ExecutorTest, BackendNamesRoundTrip) {
-  EXPECT_EQ(exec::backend_from_string("serial"), Backend::kSerial);
-  EXPECT_EQ(exec::backend_from_string("threadpool"), Backend::kThreadPool);
-  EXPECT_THROW(exec::backend_from_string("gpu"), enzo::Error);
-  EXPECT_STREQ(exec::backend_name(Backend::kSerial), "serial");
-  EXPECT_STREQ(exec::backend_name(Backend::kThreadPool), "threadpool");
+  // The lane count names the backend: one lane is serial, any other count
+  // (0 = all hardware threads) is the pool.
+  exec::ExecConfig cfg;
+  for (const auto& [threads, backend] :
+       {std::pair{1, Backend::kSerial}, std::pair{0, Backend::kThreadPool},
+        std::pair{2, Backend::kThreadPool}, std::pair{4, Backend::kThreadPool},
+        std::pair{1, Backend::kSerial}}) {
+    cfg.set_threads(threads);
+    EXPECT_EQ(cfg.threads, threads);
+    EXPECT_EQ(cfg.backend, backend) << threads;
+    EXPECT_EQ(exec::make_executor(cfg)->backend(), backend) << threads;
+  }
 }
 
 TEST(ExecutorHierarchyContract, RebuildInsidePhaseThrows) {

@@ -1359,10 +1359,7 @@ TEST(BoundaryOracle, SedovPastFirstRegridIsThreadCountInvariant) {
   auto run = [](int threads) {
     enzo::core::ParameterDeck deck = enzo::core::parse_parameter_file(
         std::string(ENZO_SOURCE_DIR) + "/decks/sedov.enzo");
-    deck.config.exec.threads = threads;
-    deck.config.exec.backend = threads == 1
-                                   ? enzo::exec::Backend::kSerial
-                                   : enzo::exec::Backend::kThreadPool;
+    deck.config.exec.set_threads(threads);
     enzo::core::Simulation sim(deck.config);
     enzo::core::setup_from_deck(sim, deck);
     for (int s = 0; s < 14; ++s) sim.advance_root_step();
