@@ -2,11 +2,11 @@
 // run, so rebuild cost — and the "extremely large number of memory
 // allocations and frees" it generates — is a first-order concern.  Drives
 // two rebuild storms of a refined hierarchy — "steady" (every rebuild
-// reproduces the same boxes, so every grid is kept) and "moving" (flags
-// alternate between two spheres, so moved grids are built fresh from the
-// pools) — and reports wall time per rebuild, AllocStats heap allocations
-// per rebuild, the arena pool hit rate, and kept-grid counts.  Emits
-// BENCH_regrid.json for regression tracking.
+// reproduces the same boxes) and "moving" (flags alternate between two
+// spheres) — in which every rebuild builds each grid fresh from the arena
+// pools, and reports wall time per rebuild, AllocStats heap allocations
+// per rebuild and the arena pool hit rate.  Emits BENCH_regrid.json for
+// regression tracking.
 
 #include <cstdio>
 #include <string>
@@ -50,7 +50,6 @@ struct StormResult {
   double heap_allocs_per_rebuild = 0.0;
   std::uint64_t pool_acquires = 0;
   double arena_hit_rate = 0.0;  ///< hits / acquires (0 when none)
-  double kept_grids_per_rebuild = 0.0;
   std::size_t grids = 0;
 };
 
@@ -76,7 +75,6 @@ StormResult run_storm(const std::string& name,
   const std::uint64_t allocs0 = util::AllocStats::global().allocations();
   const std::uint64_t hits0 = reg.counter("arena.pool_hits").value();
   const std::uint64_t miss0 = reg.counter("arena.pool_misses").value();
-  const std::uint64_t kept0 = reg.counter("arena.regrid_kept_grids").value();
   util::Stopwatch sw;
   for (int i = 0; i < kRebuilds; ++i) h.rebuild(1, flag(i));
   StormResult r;
@@ -91,10 +89,6 @@ StormResult run_storm(const std::string& name,
       r.pool_acquires > 0
           ? static_cast<double>(hits) / static_cast<double>(r.pool_acquires)
           : 0.0;
-  r.kept_grids_per_rebuild =
-      static_cast<double>(reg.counter("arena.regrid_kept_grids").value() -
-                          kept0) /
-      kRebuilds;
   r.grids = h.total_grids();
   h.check_invariants();
   return r;
@@ -108,15 +102,13 @@ int main() {
       run_storm("moving", {sphere_flagger(0.4), sphere_flagger(0.6)}),
   };
   std::printf("regrid storms, %d rebuilds each\n\n", kRebuilds);
-  std::printf("%-8s %6s %12s %15s %14s %9s %13s\n", "storm", "grids",
-              "rebuild [s]", "allocs/rebuild", "pool acquires", "hit rate",
-              "kept/rebuild");
+  std::printf("%-8s %6s %12s %15s %14s %9s\n", "storm", "grids",
+              "rebuild [s]", "allocs/rebuild", "pool acquires", "hit rate");
   for (const StormResult& r : storms)
-    std::printf("%-8s %6zu %12.6f %15.1f %14llu %9.3f %13.1f\n",
-                r.storm.c_str(), r.grids, r.rebuild_seconds,
-                r.heap_allocs_per_rebuild,
+    std::printf("%-8s %6zu %12.6f %15.1f %14llu %9.3f\n", r.storm.c_str(),
+                r.grids, r.rebuild_seconds, r.heap_allocs_per_rebuild,
                 static_cast<unsigned long long>(r.pool_acquires),
-                r.arena_hit_rate, r.kept_grids_per_rebuild);
+                r.arena_hit_rate);
 
   const char* out_path = "BENCH_regrid.json";
   std::string json = "{\"bench\":\"regrid_arena\",\"rebuilds\":" +
@@ -132,8 +124,7 @@ int main() {
             perf::json_number(r.heap_allocs_per_rebuild) +
             ",\"pool_acquires\":" + std::to_string(r.pool_acquires) +
             ",\"arena_hit_rate\":" + perf::json_number(r.arena_hit_rate) +
-            ",\"kept_grids_per_rebuild\":" +
-            perf::json_number(r.kept_grids_per_rebuild) + "}";
+            "}";
   }
   json += "]}\n";
   if (std::FILE* f = std::fopen(out_path, "w")) {

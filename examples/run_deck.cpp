@@ -41,6 +41,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -230,9 +231,14 @@ int run(int argc, char** argv) {
     std::printf("done in %.1f s wall\n", wall.seconds());
     const problems::ProblemSpec& spec =
         problems::Registry::global().at(deck.problem);
-    if (spec.l1_density_error)
-      std::printf("L1(density) vs exact %s: %.6e\n", deck.problem.c_str(),
-                  spec.l1_density_error(sim, deck));
+    if (spec.l1_density_error) {
+      const double l1 = spec.l1_density_error(sim, deck);
+      std::printf("L1(density) vs exact %s: ", deck.problem.c_str());
+      if (std::isnan(l1))
+        std::printf("none (no exact solution at this time)\n");
+      else
+        std::printf("%.6e\n", l1);
+    }
     if (deck.config.audit_invariants) {
       std::printf("audit: %ld run(s), %llu violation(s); last: %s\n",
                   sim.audits_run(),

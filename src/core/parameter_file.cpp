@@ -75,7 +75,8 @@ struct Parser {
     if (v == "0" || v == "false" || v == "no") return false;
     fail("expected a boolean (0/1/true/false), got '" + v + "'");
   }
-  mesh::Index3 dims(const std::string& v) const {
+  /// Up to three extents (missing ones are 1), each at least 1.
+  mesh::Index3 dims(const char* key, const std::string& v) const {
     std::istringstream ss(v);
     mesh::Index3 d{1, 1, 1};
     if (!(ss >> d[0])) fail("expected up to three integers, got '" + v + "'");
@@ -83,6 +84,9 @@ struct Parser {
     std::string rest;
     if (ss.clear(), std::getline(ss, rest); !trim(rest).empty())
       fail("trailing text after dimensions: '" + rest + "'");
+    for (const std::int64_t n : d)
+      if (n < 1)
+        fail(std::string(key) + " expects each extent >= 1, got '" + v + "'");
     return d;
   }
 };
@@ -170,7 +174,7 @@ const std::vector<Key>& keys() {
       // --- hierarchy ---------------------------------------------------------
       {"TopGridDimensions",
        [](Parser& p, const std::string& v) {
-         p.deck.config.hierarchy.root_dims = p.dims(v);
+         p.deck.config.hierarchy.root_dims = p.dims("TopGridDimensions", v);
        },
        [](const ParameterDeck& d) -> std::optional<std::string> {
          const auto& n = d.config.hierarchy.root_dims;
@@ -178,12 +182,13 @@ const std::vector<Key>& keys() {
                 std::to_string(n[2]);
        },
        kAlways},
-      integer("RefineBy", DECK_FIELD(config.hierarchy.refine_factor), INT_MIN,
+      integer("RefineBy", DECK_FIELD(config.hierarchy.refine_factor), 2,
               kAlways),
       integer("MaximumRefinementLevel", DECK_FIELD(config.hierarchy.max_level),
               0, kAlways),
       flag("PeriodicBoundary", DECK_FIELD(config.hierarchy.periodic), kAlways),
-      integer("GhostZones", DECK_FIELD(config.hierarchy.nghost)),
+      // PPM reads parabolas at cells [ng-1, n-ng], valid only in [2, n-3].
+      integer("GhostZones", DECK_FIELD(config.hierarchy.nghost), 3),
       real("ClusterEfficiency",
            DECK_FIELD(config.hierarchy.cluster.min_efficiency)),
       // --- physics toggles ---------------------------------------------------

@@ -196,48 +196,6 @@ void Grid::allocate_gravity() {
   for (int d = 0; d < 3; ++d) accel_[d].resize(nx(0), nx(1), nx(2), 0.0);
 }
 
-void Grid::reset_for_reuse(Grid* parent) {
-  ENZO_REQUIRE(parent != nullptr, "reset_for_reuse needs a parent");
-  parent_ = parent;
-  time_ = parent->time();
-  old_time_ = parent->time();
-  // A freshly built grid carries no flux/gravity storage; return ours to
-  // the arena so consumers cannot tell a recycled grid from a new one.
-  for (auto& per_field : fluxes_)
-    for (auto& b : per_field) b.release();
-  for (auto& per_field : bfluxes_)
-    for (auto& per_axis : per_field)
-      for (auto& b : per_axis) b.release();
-  has_fluxes_ = false;
-  has_bfluxes_ = false;
-  gravitating_mass_.release();
-  potential_.release();
-  for (auto& b : accel_) b.release();
-  // Fresh grids are zero-filled and only their active cells are written
-  // during a rebuild, so a kept grid's stale ghost shells must go back to
-  // zero (cheap: surface area, not volume).
-  scrub_ghosts();
-  // old fields are fully overwritten by the rebuild's store_old_fields()
-  // pass, exactly as a fresh grid's are — nothing to do here.
-}
-
-void Grid::scrub_ghosts() {
-  for (Field f : field_list_) {
-    Buffer3& b = fields_[field_index(f)];
-    if (b.empty()) continue;
-    FieldView a = b.view();
-    const int nxa = nx(0), nya = nx(1), nza = nx(2);
-    for (int k = 0; k < nt(2); ++k)
-      for (int j = 0; j < nt(1); ++j) {
-        const bool jk_ghost = j < ng_[1] || j >= ng_[1] + nya ||
-                              k < ng_[2] || k >= ng_[2] + nza;
-        for (int i = 0; i < nt(0); ++i) {
-          if (jk_ghost || i < ng_[0] || i >= ng_[0] + nxa) a(i, j, k) = 0.0;
-        }
-      }
-  }
-}
-
 std::int64_t Grid::copy_region_from(const Grid& src, const Index3& shift,
                                     const IndexBox& target_global) {
   ENZO_REQUIRE(src.level() == level(), "sibling copy across levels");

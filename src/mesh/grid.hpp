@@ -188,19 +188,9 @@ class Grid {
   /// conservative update exact across the external periodic boundary.
   void wrap_own_ghosts();
 
-  // ---- regrid recycling ------------------------------------------------------
-  /// Prepare this grid for reuse across a rebuild (incremental regrid, same
-  /// box): release auxiliary storage (fluxes, boundary fluxes, gravity)
-  /// back to the arena, zero the ghost shells, and re-anchor parent/time —
-  /// after which the grid is bitwise indistinguishable from one freshly
-  /// built and filled by a full rebuild (grid id excepted: a kept
-  /// grid keeps its id, which no physics or serialized byte observes).
-  void reset_for_reuse(Grid* parent);
-
  private:
   std::int64_t copy_region_from(const Grid& src, const Index3& shift,
                                 const IndexBox& target_global);
-  void scrub_ghosts();
 
   GridSpec spec_;
   Grid* parent_ = nullptr;

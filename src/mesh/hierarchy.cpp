@@ -1,7 +1,6 @@
 #include "mesh/hierarchy.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "exec/executor.hpp"
@@ -311,28 +310,15 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
     std::vector<IndexBox> boxes = cluster_flags(flags, params_.cluster);
 
     // ---- 3. create the new grids, fill, and swap ----------------------------
-    // Incremental regrid: before building a grid for a canonical
-    // (cluster box × parent) piece, look for a previous-generation grid
-    // with *exactly* that box (grids on a level are disjoint, so at most
-    // one old grid starts at the piece's lo corner) and keep it (and its
-    // storage) alive instead of reallocating and refilling.  A kept
-    // grid's active bytes equal what a full rebuild would produce: its
-    // same-box self-copy restores the grid's own data verbatim, disjoint
-    // same-level neighbours contribute nothing, and the parent
-    // interpolation underneath is fully overwritten.  Only auxiliary state
-    // needs resetting (Grid::reset_for_reuse).
-    std::vector<Grid*> old_raw;  // pre-rebuild level-l grids, in level order
-    std::unordered_map<std::uint64_t, std::size_t> old_by_lo;  // lookup only
-    if (l < static_cast<int>(levels_.size())) {
-      old_raw.reserve(levels_[l].size());
-      for (std::size_t i = 0; i < levels_[l].size(); ++i) {
-        old_raw.push_back(levels_[l][i].get());
-        old_by_lo.emplace(key_of(levels_[l][i]->box().lo), i);
-      }
+    // Every canonical (cluster box × parent) piece becomes a fresh grid;
+    // storage comes from the level's arena pool, so a steady rebuild
+    // recycles the blocks the previous generation returned.
+    if (static_cast<int>(levels_.size()) <= l) {
+      levels_.emplace_back();
+      descriptors_.emplace_back();
     }
+    const auto& old = levels_[l];  // pre-rebuild grids, in level order
     std::vector<std::unique_ptr<Grid>> fresh;
-    std::vector<char> fresh_kept;
-    std::size_t kept_count = 0;
     {
       perf::TraceScope arena_scope("arena", perf::component::kRebuild, l);
       for (const IndexBox& b : boxes) {
@@ -355,71 +341,49 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
             // such sliver has no grandchildren, so dropping it is safe.
             continue;
           }
-          const auto it = old_by_lo.find(key_of(fine.lo));
-          if (it != old_by_lo.end() && old_raw[it->second]->box() == fine) {
-            old_raw[it->second]->reset_for_reuse(parent);
-            fresh.push_back(std::move(levels_[l][it->second]));
-            fresh_kept.push_back(1);
-            ++kept_count;
-          } else {
-            auto g = make_grid(l, fine);
-            g->set_parent(parent);
-            g->set_time(parent->time());
-            g->set_old_time(parent->time());
-            fill_active_from_parent(*g, *parent);
-            fresh.push_back(std::move(g));
-            fresh_kept.push_back(0);
-          }
+          auto g = make_grid(l, fine);
+          g->set_parent(parent);
+          g->set_time(parent->time());
+          g->set_old_time(parent->time());
+          fill_active_from_parent(*g, *parent);
+          fresh.push_back(std::move(g));
         }
       }
     }
-    static perf::Counter& kept_grids =
-        perf::Registry::global().counter("arena.regrid_kept_grids");
     static perf::Counter& new_grids =
         perf::Registry::global().counter("arena.regrid_new_grids");
-    kept_grids.add(kept_count);
-    new_grids.add(fresh.size() - kept_count);
+    new_grids.add(fresh.size());
 
     // Copy overlapping data from the old grids of this level (better than
-    // interpolated parent data), then migrate particles.  A kept grid
-    // skips the copies (it *is* its own slice) but still serves as the
-    // live source for any newly created neighbour.
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-      if (fresh_kept[i] != 0) continue;
-      for (Grid* old : old_raw) fresh[i]->copy_active_from(*old, {0, 0, 0});
-    }
+    // interpolated parent data), then migrate particles.
+    for (auto& g : fresh)
+      for (auto& o : old) g->copy_active_from(*o, {0, 0, 0});
 
     // Particles: pull down from parents into new grids; push old-grid
-    // particles either into the new grids or back up to the parent.  Pulls
-    // are staged per destination and installed after both passes, so kept
-    // grids reproduce a full rebuild's append order exactly —
-    // [parent pulls in parent order] + [old-grid particles in old order] —
-    // even when a destination is itself one of the old grids.
-    auto grid_ordinal_for = [&](const Particle& p) -> std::ptrdiff_t {
-      for (std::size_t i = 0; i < fresh.size(); ++i)
-        if (fresh[i]->contains_position(p.x))
-          return static_cast<std::ptrdiff_t>(i);
-      return -1;
+    // particles either into the new grids or back up to the parent.  Each
+    // new grid thus holds [parent pulls in parent order] + [old-grid
+    // particles in old order].
+    auto grid_for = [&](const Particle& p) -> Grid* {
+      for (auto& g : fresh)
+        if (g->contains_position(p.x)) return g.get();
+      return nullptr;
     };
-    std::vector<std::vector<Particle>> staged(fresh.size());
     for (Grid* parent : grids(l - 1)) {
       auto pp = parent->particles();
       std::vector<Particle> keep;
       keep.reserve(pp.size());
       for (Particle& p : pp) {
-        const std::ptrdiff_t i = grid_ordinal_for(p);
-        if (i >= 0)
-          staged[static_cast<std::size_t>(i)].push_back(p);
+        if (Grid* g = grid_for(p))
+          g->particles().push_back(p);
         else
           keep.push_back(p);
       }
       pp.swap(keep);
     }
-    for (Grid* old : old_raw) {
-      for (Particle& p : old->particles()) {
-        const std::ptrdiff_t i = grid_ordinal_for(p);
-        if (i >= 0) {
-          staged[static_cast<std::size_t>(i)].push_back(p);
+    for (auto& o : old) {
+      for (Particle& p : o->particles()) {
+        if (Grid* g = grid_for(p)) {
+          g->particles().push_back(p);
         } else {
           // Region no longer refined: hand the particle to the parent that
           // contains it.
@@ -434,22 +398,20 @@ void Hierarchy::rebuild(int level, const FlagFn& flag) {
         }
       }
     }
-    for (std::size_t i = 0; i < fresh.size(); ++i)
-      fresh[i]->particles().swap(staged[i]);
-
-    // New grids snapshot their state for their future children's boundary
-    // time interpolation.
-    for (auto& g : fresh) g->store_old_fields();
 
     // Swap in the new level.  Children of the old grids (level l+1) are
     // re-parented when their own rebuild iteration runs next; nothing
     // touches their parent pointers in between.
-    if (static_cast<int>(levels_.size()) <= l) {
-      levels_.emplace_back();
-      descriptors_.emplace_back();
-    }
     levels_[l].swap(fresh);
     fresh.clear();
+
+    // New grids snapshot their state for their future children's boundary
+    // time interpolation.  This runs only after the old level is freed, so
+    // the old-field buffers draw the blocks it just returned to the pool
+    // rather than growing the pool by a level's worth of fields.  It is
+    // byte-safe: store_old_fields reads only the grid's own fields, and
+    // every particle is already placed.
+    for (auto& g : levels_[l]) g->store_old_fields();
     refresh_descriptors(l);
 
     if (levels_[l].empty()) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "analysis/reference.hpp"
 #include "cosmology/grf.hpp"
@@ -104,6 +105,9 @@ void register_zeldovich_pancake(Registry& r) {
     analysis::ZeldovichMode m;
     m.amplitude = 1.0 / (constants::kTwoPi * frw.growth_factor(a_c));
     m.growth = frw.growth_factor(sim.scale_factor());
+    // Past the caustic the Lagrangian map folds: no single-stream solution.
+    if (m.growth * constants::kTwoPi * m.amplitude >= 1.0)
+      return std::numeric_limits<double>::quiet_NaN();
     double l1 = 0.0;
     std::int64_t n = 0;
     detail::for_each_root_density(

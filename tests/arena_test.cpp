@@ -1,8 +1,8 @@
 // Storage-arena tests: block pooling semantics (size classes, alignment,
 // AllocStats heap-only accounting), Buffer3/particle-vector recycling, the
 // regrid-storm stress contract (§5: steady-state rebuilds make no heap
-// allocations), the incremental-regrid keep path, and a checkpoint round
-// trip between fresh and recycled storage.
+// allocations), and a checkpoint round trip between fresh and recycled
+// storage.
 
 #include <gtest/gtest.h>
 
@@ -165,33 +165,15 @@ std::uint64_t heap_allocs_for_rebuilds(
 
 TEST(RegridStorm, ArenaDropsSteadyStateHeapAllocsTenfold) {
   constexpr int kReps = 8;
-  // Identical flags mean every grid is kept alive, so the storm touches the
-  // heap not at all.
+  // Identical flags rebuild the same boxes: every new grid draws the blocks
+  // the generation it replaces returned, so the storm touches the heap not
+  // at all.
   EXPECT_EQ(heap_allocs_for_rebuilds({sphere_flagger()}, kReps), 0u);
   // Flags alternating between two spheres rebuild every moved grid fresh:
   // the new grids draw recycled blocks from the generation they replace.
   EXPECT_EQ(heap_allocs_for_rebuilds(
                 {sphere_flagger(0.4), sphere_flagger(0.6)}, kReps),
             0u);
-}
-
-TEST(RegridStorm, IncrementalRebuildKeepsUnchangedGrids) {
-  Hierarchy h = storm_hierarchy();
-  const Hierarchy::FlagFn flag = sphere_flagger();
-  // Two rebuilds reach the steady state: the first creates level 2, whose
-  // nesting footprint widens the level-1 flags on the second.
-  h.rebuild(1, flag);
-  h.rebuild(1, flag);
-  ASSERT_GE(h.deepest_level(), 1);
-  std::size_t refined = 0;
-  for (int l = 1; l <= h.deepest_level(); ++l) refined += h.num_grids(l);
-  ASSERT_GT(refined, 0u);
-  static perf::Counter& kept =
-      perf::Registry::global().counter("arena.regrid_kept_grids");
-  const std::uint64_t kept0 = kept.value();
-  h.rebuild(1, flag);  // identical boxes: every refined grid survives
-  EXPECT_EQ(kept.value() - kept0, refined);
-  h.check_invariants();
 }
 
 // ---- checkpoint round trip between fresh and recycled storage ---------------

@@ -221,11 +221,10 @@ StopSteps              = 5
 }
 
 TEST(Deck, RemovedStorageAndTopologyKeysAreUnknown) {
-  // Pooled storage, incremental regrid and the overlap-topology cache are
-  // the only paths, so the keys that once switched them are unknown.  The
-  // backend follows Threads, worker pinning, the particle lattice size, the
-  // dual-energy threshold and the flag buffer are fixed, so their keys are
-  // unknown too.
+  // Pooled storage and the overlap-topology cache are the only paths, so
+  // the keys that once switched them are unknown.  The backend follows
+  // Threads, worker pinning, the particle lattice size, the dual-energy
+  // threshold and the flag buffer are fixed, so their keys are unknown too.
   for (const std::string key :
        {"ArenaMode", "BlockGranularity", "UseOverlapTopology", "Executor",
         "PinThreads", "ParticlesPerAxis", "DualEnergyEta",
@@ -347,7 +346,9 @@ TEST(Deck, OutOfRangeIntegersRejected) {
         "CheckpointInterval = -4", "StopSteps = 1e10",
         "GhostZones = 9007199254740993", "RefineBy = nan",
         "RandomSeed = -5", "RandomSeed = 18446744073709551616",
-        "RandomSeed = 2001.5", "RandomSeed = 1e3"}) {
+        "RandomSeed = 2001.5", "RandomSeed = 1e3", "RefineBy = 1",
+        "RefineBy = -2", "GhostZones = -1", "GhostZones = 2",
+        "TopGridDimensions = 0 8 8", "TopGridDimensions = 8 8 -1"}) {
     SCOPED_TRACE(text);
     const std::string t = text;
     const std::string key = t.substr(0, t.find(' '));
@@ -363,9 +364,13 @@ TEST(Deck, OutOfRangeIntegersRejected) {
   // The minimums themselves are accepted.
   const auto d = parse(
       "RebuildInterval = 1\nAuditInterval = 1\nThreads = 0\n"
-      "StopSteps = 0\nMaximumRefinementLevel = 0\nCheckpointInterval = 0\n");
+      "StopSteps = 0\nMaximumRefinementLevel = 0\nCheckpointInterval = 0\n"
+      "RefineBy = 2\nGhostZones = 3\nTopGridDimensions = 1 1 1\n");
   EXPECT_EQ(d.config.rebuild_interval, 1);
   EXPECT_EQ(d.stop_steps, 0);
+  EXPECT_EQ(d.config.hierarchy.refine_factor, 2);
+  EXPECT_EQ(d.config.hierarchy.nghost, 3);
+  EXPECT_EQ(d.config.hierarchy.root_dims, (mesh::Index3{1, 1, 1}));
   // RandomSeed is exact over the whole unsigned 64-bit range, including
   // values a double cannot hold.
   for (const std::uint64_t seed :

@@ -15,7 +15,8 @@
 //   * the full-rebuild fill — every grid of a rebuilt level freshly made,
 //     interpolated from its parent, overwritten by every old same-level
 //     grid in old order, then snapshotted, with particles appended in the
-//     rebuild's order — the reference for the incremental regrid.
+//     rebuild's order, on heap-fresh grids — the reference for the pooled
+//     regrid.
 //
 // Header-only and free of gtest so benches can include it too.
 

@@ -18,8 +18,8 @@
 # topology cache equivalence/invalidation tests and the rest of mesh_test —
 # plus the per-generation check of the cache against the all-pairs oracles
 # of tests/support/oracles.hpp, and `regrid` (CI_STAGES="regrid") the
-# storage-arena / incremental-regrid tests, the per-generation check of the
-# incremental regrid against the full-rebuild oracle, and the regrid-storm
+# storage-arena / regrid-storm tests, the per-generation check of the
+# pooled regrid against the full-rebuild oracle, and the regrid-storm
 # bench, and `kernels` (CI_STAGES="kernels") the
 # SoA kernel gate — check_vec (the kernel TUs must autovectorize), the
 # micro-kernel bench (BENCH_micro_kernels.json), and check_kernels (>40%
@@ -104,7 +104,7 @@ for stage in $stages; do
       ;;
     regrid)
       banner "stage: regrid arena suite"
-      # Targeted re-run of the storage-arena / incremental-regrid tests (the
+      # Targeted re-run of the storage-arena / regrid-storm tests (the
       # per-generation full-rebuild oracle check included) plus the
       # regrid-storm bench (BENCH_regrid.json) against build-werror.
       if [ ! -d build-werror ]; then
@@ -114,7 +114,7 @@ for stage in $stages; do
       cmake --build --preset werror -j "$jobs" --target regrid_arena \
         || { failed+=(regrid); continue; }
       ctest --test-dir build-werror \
-        -R '^(Arena|Buffer3|StorageArena|RegridStorm|ArenaCheckpoint|ExecDeterminismTest\.ArenaAndIncrementalRegrid)' \
+        -R '^(Arena|Buffer3|StorageArena|RegridStorm|ArenaCheckpoint|ExecDeterminismTest\.PooledRegridIsByteIdenticalToFullRebuild)' \
         -j "$jobs" --output-on-failure || failed+=(regrid)
       build-werror/bench/regrid_arena || failed+=(regrid)
       ;;
